@@ -233,14 +233,14 @@ fn control_request(
     request: &str,
     out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader};
 
     let stream = connect_with_retry(addr)?;
+    service::proto::setup_stream(&stream, None).map_err(io_err)?;
     let mut writer = stream
         .try_clone()
         .map_err(|e| CliError::new(format!("cannot clone connection: {e}")))?;
-    writeln!(writer, "{request}").map_err(io_err)?;
-    writer.flush().map_err(io_err)?;
+    service::proto::write_line(&mut writer, request).map_err(io_err)?;
 
     let mut reply = String::new();
     BufReader::new(stream)

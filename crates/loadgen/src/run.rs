@@ -33,6 +33,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use service::json::{parse, Json};
+use service::proto;
 
 use crate::hist::LogHistogram;
 use crate::synth::{FrameBook, SynthConfig, TenantBook};
@@ -295,7 +296,7 @@ impl Control {
     fn connect(addr: &str) -> Result<Control, String> {
         let stream =
             TcpStream::connect(addr).map_err(|e| format!("connect to rapd at {addr}: {e}"))?;
-        stream.set_nodelay(true).ok();
+        proto::setup_stream(&stream, None).ok();
         let reader = BufReader::new(
             stream
                 .try_clone()
@@ -308,7 +309,7 @@ impl Control {
     }
 
     fn request(&mut self, line: &str) -> Result<String, String> {
-        writeln!(self.writer, "{line}").map_err(|e| format!("write {line:?}: {e}"))?;
+        proto::write_line(&mut self.writer, line).map_err(|e| format!("write {line:?}: {e}"))?;
         let mut reply = String::new();
         let n = self
             .reader

@@ -13,6 +13,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::metrics::Metrics;
+use crate::proto::setup_stream;
 
 /// Produces the exposition body served on each scrape.
 pub type RenderFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -95,7 +96,7 @@ impl Drop for MetricsServer {
 }
 
 fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
+    setup_stream(&stream, Some(Duration::from_secs(2)))?;
     let mut reader = BufReader::new(stream);
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
@@ -122,11 +123,11 @@ fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> 
             "not found\n".to_string(),
         )
     };
-    write!(
-        stream,
+    let response = format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -136,9 +137,8 @@ fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> 
 pub fn get(addr: SocketAddr, path: &str) -> io::Result<(String, String)> {
     use std::io::Read;
     let mut stream = TcpStream::connect(addr)?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n"
+    stream.write_all(
+        format!("GET {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\n\r\n").as_bytes(),
     )?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;

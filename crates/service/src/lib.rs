@@ -44,9 +44,9 @@
 //! # Example
 //!
 //! ```
-//! use std::io::{BufRead, BufReader, Write};
+//! use std::io::{BufRead, BufReader};
 //! use std::net::TcpStream;
-//! use service::{start, default_factory, ServiceConfig};
+//! use service::{start, default_factory, proto, ServiceConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = ServiceConfig {
@@ -56,9 +56,9 @@
 //! };
 //! let server = service::start(config, default_factory())?;
 //! let mut conn = TcpStream::connect(server.ingest_addr())?;
-//! writeln!(
-//!     conn,
-//!     r#"{{"type":"schema","tenant":"edge","attributes":[["loc",["L1","L2"]]]}}"#
+//! proto::write_line(
+//!     &mut conn,
+//!     r#"{"type":"schema","tenant":"edge","attributes":[["loc",["L1","L2"]]]}"#,
 //! )?;
 //! let mut reply = String::new();
 //! BufReader::new(conn.try_clone()?).read_line(&mut reply)?;

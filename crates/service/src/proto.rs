@@ -28,6 +28,10 @@
 //! never parsed as errors.
 
 use std::fmt;
+use std::io::{self, BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::time::Duration;
 
 use mdkpi::{ElementId, LeafFrame, Schema};
 
@@ -469,6 +473,151 @@ pub fn build_frame(schema: &Schema, rows: &[(Vec<String>, f64)]) -> Result<LeafF
 }
 
 // ---------------------------------------------------------------------------
+// Sockets. A message sent in two writes (a body, then "\n") meets Nagle's
+// algorithm: the second segment waits for the peer's ACK of the first,
+// which the peer delays up to 40 ms while it waits for the whole message.
+// So every stream rapd accepts or opens goes through `setup_stream`, and
+// every message leaves in one `write_all`.
+// ---------------------------------------------------------------------------
+
+/// How often a blocked read on a rapd connection wakes to poll the
+/// shutdown flag and request deadlines.
+pub(crate) const READ_POLL: Duration = Duration::from_millis(100);
+
+/// Prepare a stream for request/reply traffic: set its read timeout
+/// (`None` blocks) and turn on `TCP_NODELAY`.
+///
+/// # Errors
+///
+/// Any error from setting the socket options.
+pub fn setup_stream(stream: &TcpStream, read_timeout: Option<Duration>) -> io::Result<()> {
+    stream.set_read_timeout(read_timeout)?;
+    stream.set_nodelay(true)
+}
+
+/// Write one NDJSON line — `line` plus `\n` — with a single `write_all`.
+///
+/// # Errors
+///
+/// Any I/O error from the underlying writer.
+pub fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    w.write_all(&buf)?;
+    w.flush()
+}
+
+enum LineRead {
+    /// Connection closed (any final unterminated partial line is in `line`).
+    Eof,
+    /// One complete line is in `line`.
+    Line,
+    /// The line exceeded `max` bytes; the rest of it was discarded.
+    Oversized(usize),
+}
+
+/// Read one `\n`-terminated line with a hard size cap, tolerating read
+/// timeouts (the caller polls the shutdown flag between attempts).
+fn read_line_limited(
+    reader: &mut BufReader<TcpStream>,
+    line: &mut Vec<u8>,
+    max: usize,
+) -> io::Result<LineRead> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(LineRead::Eof);
+        }
+        if let Some(pos) = buf.iter().position(|b| *b == b'\n') {
+            line.extend_from_slice(&buf[..pos]);
+            reader.consume(pos + 1);
+            if line.len() > max {
+                return Ok(LineRead::Oversized(line.len()));
+            }
+            return Ok(LineRead::Line);
+        }
+        let n = buf.len();
+        line.extend_from_slice(buf);
+        reader.consume(n);
+        if line.len() > max {
+            let total = discard_to_newline(reader, line.len())?;
+            return Ok(LineRead::Oversized(total));
+        }
+    }
+}
+
+/// Discard bytes until (and including) the next newline; returns the total
+/// size of the oversized line.
+fn discard_to_newline(reader: &mut BufReader<TcpStream>, mut seen: usize) -> io::Result<usize> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(seen);
+        }
+        if let Some(pos) = buf.iter().position(|b| *b == b'\n') {
+            seen += pos;
+            reader.consume(pos + 1);
+            return Ok(seen);
+        }
+        seen += buf.len();
+        let n = buf.len();
+        reader.consume(n);
+    }
+}
+
+/// Serve one NDJSON client connection until EOF, an I/O error, or
+/// `shutdown`: every non-blank line (a final unterminated one included)
+/// gets `dispatch`'s reply, and a line over `max` bytes gets an error
+/// reply, counted in `protocol_errors`, without closing the connection.
+/// The single-process daemon and the fleet router's front door differ
+/// only in `dispatch`.
+pub(crate) fn serve_lines(
+    stream: TcpStream,
+    max: usize,
+    shutdown: &AtomicBool,
+    protocol_errors: &AtomicU64,
+    dispatch: impl Fn(&str) -> String,
+) {
+    if setup_stream(&stream, Some(READ_POLL)).is_err() {
+        return;
+    }
+    let Ok(mut writer) = stream.try_clone() else {
+        return;
+    };
+    let mut reader = BufReader::new(stream);
+    let mut line: Vec<u8> = Vec::new();
+    while !shutdown.load(Ordering::SeqCst) {
+        let (reply, eof) = match read_line_limited(&mut reader, &mut line, max) {
+            Err(e) => match e.kind() {
+                // poll tick: partial data stays in `line`, keep reading
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => continue,
+                _ => return,
+            },
+            Ok(LineRead::Oversized(len)) => {
+                protocol_errors.fetch_add(1, Ordering::Relaxed);
+                (Some(ProtoError::Oversized { len, max }.to_reply()), false)
+            }
+            Ok(read) => {
+                let text = String::from_utf8_lossy(&line);
+                let text = text.trim();
+                let reply = (!text.is_empty()).then(|| dispatch(text));
+                (reply, matches!(read, LineRead::Eof))
+            }
+        };
+        if let Some(reply) = reply {
+            if write_line(&mut writer, &reply).is_err() {
+                return;
+            }
+        }
+        if eof {
+            return;
+        }
+        line.clear();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Fleet wire protocol: length-prefixed frames between the router and its
 // workers.
 //
@@ -498,7 +647,8 @@ pub const WIRE_VERSION: u64 = 1;
 /// The oldest wire-protocol version this build still accepts.
 pub const WIRE_MIN_VERSION: u64 = 1;
 
-/// Write one length-prefixed frame (`u32` big-endian length + payload).
+/// Write one length-prefixed frame (`u32` big-endian length + payload)
+/// with a single `write_all`.
 ///
 /// # Errors
 ///
@@ -507,8 +657,10 @@ pub fn write_wire_frame(w: &mut impl std::io::Write, payload: &[u8]) -> std::io:
     let len = u32::try_from(payload.len()).map_err(|_| {
         std::io::Error::new(std::io::ErrorKind::InvalidInput, "wire frame over 4 GiB")
     })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -976,6 +1128,30 @@ mod tests {
         assert!(matches!(read(&mut cursor).unwrap(), WireRead::Frame(p) if p.is_empty()));
         assert!(matches!(read(&mut cursor).unwrap(), WireRead::Frame(p) if p == b"world!"));
         assert!(matches!(read(&mut cursor).unwrap(), WireRead::Eof));
+    }
+
+    /// Keeps the bytes of each `write` call apart, the way an unbuffered
+    /// socket sends each call as its own segment.
+    #[derive(Default)]
+    struct Segments(Vec<Vec<u8>>);
+
+    impl Write for Segments {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        let mut w = Segments::default();
+        write_wire_frame(&mut w, b"payload").unwrap();
+        write_line(&mut w, r#"{"type":"ok"}"#).unwrap();
+        assert_eq!(w.0, [&b"\0\0\0\x07payload"[..], b"{\"type\":\"ok\"}\n"]);
     }
 
     #[test]

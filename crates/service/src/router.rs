@@ -51,17 +51,13 @@ use crate::http::MetricsServer;
 use crate::json::{parse, Json};
 use crate::metrics::{Metrics, RouterMetrics};
 use crate::proto::{
-    self, parse_request, Request, WireEnvelope, WireRead, WIRE_MIN_VERSION, WIRE_VERSION,
+    self, parse_request, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION, WIRE_VERSION,
 };
 use crate::retry::Backoff;
-use crate::server::{read_line_limited, DrainGate, LineRead};
+use crate::server::DrainGate;
 use crate::supervisor::{Supervisor, WorkerCommand};
 use crate::sync::lock_recover;
 use crate::wal;
-
-/// Socket read-timeout granularity: how often blocked reads poll the
-/// shutdown flag and request deadlines.
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// How often the pump thread retries parked frames.
 const PUMP_INTERVAL: Duration = Duration::from_millis(100);
@@ -545,9 +541,7 @@ fn connect_handshake(
             }
         }
     };
-    stream
-        .set_read_timeout(Some(READ_POLL))
-        .map_err(|e| e.to_string())?;
+    proto::setup_stream(&stream, Some(READ_POLL)).map_err(|e| e.to_string())?;
     let mut stream = stream;
     let max = 64 * 1024;
     let ack = wire_call(&mut stream, &proto::hello_frame(), max, until, shutdown)?;
@@ -594,71 +588,13 @@ fn wire_call(
 // ---------------------------------------------------------------------
 
 fn handle_client(stream: TcpStream, router: &Router) {
-    use std::io::{BufReader, Write};
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
-    let max = router.config.max_frame_bytes;
-    loop {
-        if router.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_line_limited(&mut reader, &mut line, max) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                continue;
-            }
-            Err(_) => return,
-            Ok(LineRead::Eof) => {
-                if !line.is_empty() {
-                    let _ = respond(&mut writer, &line, router);
-                }
-                return;
-            }
-            Ok(LineRead::Oversized(len)) => {
-                router
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let reply = proto::ProtoError::Oversized { len, max }.to_reply();
-                if writeln!(writer, "{reply}").is_err() {
-                    return;
-                }
-                line.clear();
-            }
-            Ok(LineRead::Line) => {
-                let text = String::from_utf8_lossy(&line).into_owned();
-                let text = text.trim();
-                if !text.is_empty() {
-                    let reply = dispatch_router(text, router);
-                    if writeln!(writer, "{reply}").is_err() {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-        }
-    }
-}
-
-fn respond(writer: &mut TcpStream, raw: &[u8], router: &Router) -> io::Result<()> {
-    use std::io::Write;
-    let text = String::from_utf8_lossy(raw);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(());
-    }
-    let reply = dispatch_router(text, router);
-    writeln!(writer, "{reply}")
+    proto::serve_lines(
+        stream,
+        router.config.max_frame_bytes,
+        &router.shutdown,
+        &router.metrics.protocol_errors,
+        |line| dispatch_router(line, router),
+    );
 }
 
 /// Route one client request line: data verbs to their tenant's worker,

@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -34,7 +34,7 @@ use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::http::MetricsServer;
 use crate::json::Json;
 use crate::metrics::{build_version, Metrics};
-use crate::proto::{build_frame, parse_request, ProtoError, Request};
+use crate::proto::{build_frame, parse_request, serve_lines, ProtoError, Request};
 use crate::quarantine::{QuarantineRecord, QuarantineSink};
 use crate::shard::{LocalizerFactory, ShardPool, TenantDebug};
 use crate::sink::IncidentSink;
@@ -43,9 +43,6 @@ use crate::wal::{FrameWal, WalEntry};
 
 /// How long a `flush` request waits for the shards before giving up.
 const FLUSH_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Reader-thread poll interval for the shutdown flag.
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// Why the daemon failed to boot.
 #[derive(Debug)]
@@ -456,141 +453,21 @@ fn recover_state(
     }
 }
 
-pub(crate) enum LineRead {
-    /// Connection closed (any final unterminated partial line is in `line`).
-    Eof,
-    /// One complete line is in `line`.
-    Line,
-    /// The line exceeded `max` bytes; the rest of it was discarded.
-    Oversized(usize),
-}
-
-/// Read one `\n`-terminated line with a hard size cap, tolerating read
-/// timeouts (the caller polls the shutdown flag between attempts).
-pub(crate) fn read_line_limited(
-    reader: &mut BufReader<TcpStream>,
-    line: &mut Vec<u8>,
-    max: usize,
-) -> io::Result<LineRead> {
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(LineRead::Eof);
-        }
-        if let Some(pos) = buf.iter().position(|b| *b == b'\n') {
-            line.extend_from_slice(&buf[..pos]);
-            reader.consume(pos + 1);
-            if line.len() > max {
-                return Ok(LineRead::Oversized(line.len()));
-            }
-            return Ok(LineRead::Line);
-        }
-        let n = buf.len();
-        line.extend_from_slice(buf);
-        reader.consume(n);
-        if line.len() > max {
-            let total = discard_to_newline(reader, line.len())?;
-            return Ok(LineRead::Oversized(total));
-        }
-    }
-}
-
-/// Discard bytes until (and including) the next newline; returns the total
-/// size of the oversized line.
-fn discard_to_newline(reader: &mut BufReader<TcpStream>, mut seen: usize) -> io::Result<usize> {
-    loop {
-        let buf = reader.fill_buf()?;
-        if buf.is_empty() {
-            return Ok(seen);
-        }
-        if let Some(pos) = buf.iter().position(|b| *b == b'\n') {
-            seen += pos;
-            reader.consume(pos + 1);
-            return Ok(seen);
-        }
-        seen += buf.len();
-        let n = buf.len();
-        reader.consume(n);
-    }
-}
-
-pub(crate) fn handle_connection(stream: TcpStream, shared: &Shared) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = write_half;
-    let mut reader = BufReader::new(stream);
-    let mut line: Vec<u8> = Vec::new();
+/// Serve one NDJSON client connection against the daemon core.
+fn handle_connection(stream: TcpStream, shared: &Shared) {
+    let protocol_errors = &shared.metrics.protocol_errors;
     let max = shared.config.max_frame_bytes;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match read_line_limited(&mut reader, &mut line, max) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                // poll tick: partial data stays in `line`, keep reading
-                continue;
-            }
-            Err(_) => return,
-            Ok(LineRead::Eof) => {
-                // process a final unterminated line, then close
-                if !line.is_empty() {
-                    let _ = respond(&mut writer, &line, shared);
-                }
-                return;
-            }
-            Ok(LineRead::Oversized(len)) => {
-                shared
-                    .metrics
-                    .protocol_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                let reply = ProtoError::Oversized { len, max }.to_reply();
-                if writeln!(writer, "{reply}").is_err() {
-                    return;
-                }
-                line.clear();
-            }
-            Ok(LineRead::Line) => {
-                if respond(&mut writer, &line, shared).is_err() {
-                    return;
-                }
-                line.clear();
-            }
-        }
-    }
-}
-
-/// Dispatch one request line and write the one-line reply.
-fn respond(writer: &mut TcpStream, raw: &[u8], shared: &Shared) -> io::Result<()> {
-    let text = String::from_utf8_lossy(raw);
-    let text = text.trim();
-    if text.is_empty() {
-        return Ok(());
-    }
-    let reply = match dispatch(text, shared, None) {
-        Ok(reply) => reply,
-        Err(e) => {
-            shared
-                .metrics
-                .protocol_errors
-                .fetch_add(1, Ordering::Relaxed);
+    serve_lines(stream, max, &shared.shutdown, protocol_errors, |line| {
+        dispatch(line, shared, None).unwrap_or_else(|e| {
+            protocol_errors.fetch_add(1, Ordering::Relaxed);
             obs::warn(
                 "rapd.server",
                 "protocol_error",
                 &[("reason", obs::Value::Str(e.to_string()))],
             );
             e.to_reply()
-        }
-    };
-    writeln!(writer, "{reply}")
+        })
+    });
 }
 
 /// The observe verb's ingest hot path: admission, accounting, the WAL
@@ -713,7 +590,10 @@ pub(crate) fn dispatch(
     shared: &Shared,
     adopt: Option<&(String, u64)>,
 ) -> Result<String, ProtoError> {
-    match parse_request(line, shared.config.max_frame_bytes)? {
+    let parse_started = Instant::now();
+    let request = parse_request(line, shared.config.max_frame_bytes)?;
+    let parse_us = (parse_started.elapsed().as_secs_f64() * 1e6).round();
+    match request {
         Request::Schema { tenant, attributes } => {
             let schema = Schema::from_parts(attributes.clone())
                 .map_err(|e| ProtoError::BadSchema(e.to_string()))?;
@@ -735,15 +615,16 @@ pub(crate) fn dispatch(
         }
         Request::Observe { tenant, rows, ts } => {
             // Stamp the reply with how long the ingest hot path held the
-            // connection. The parse already happened, so this covers
-            // admission, the WAL append, and the queue push — the
-            // daemon-side half of the ack latency a load generator
-            // measures from outside.
+            // connection: `ack_us` covers admission, the WAL append, and
+            // the queue push; `parse_us` the request parse before them.
+            // Together they are the daemon-side share of the ack latency
+            // a load generator measures from outside.
             let ack_started = Instant::now();
             let mut pairs = observe_pairs(tenant, rows, ts, shared, adopt)?;
             let ack_seconds = ack_started.elapsed().as_secs_f64();
             shared.metrics.ingest_ack.observe(ack_seconds);
             pairs.push(("ack_us".to_string(), Json::Num((ack_seconds * 1e6).round())));
+            pairs.push(("parse_us".to_string(), Json::Num(parse_us)));
             Ok(ok_reply(pairs))
         }
         Request::Flush => {

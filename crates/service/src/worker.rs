@@ -28,15 +28,12 @@ use std::time::Duration;
 use crate::config::ServiceConfig;
 use crate::http::MetricsServer;
 use crate::proto::{
-    hello_ack_frame, negotiate_hello, read_wire_frame, write_wire_frame, WireEnvelope, WireRead,
-    WIRE_VERSION,
+    hello_ack_frame, negotiate_hello, read_wire_frame, setup_stream, write_wire_frame,
+    WireEnvelope, WireRead, READ_POLL, WIRE_VERSION,
 };
 use crate::server::{boot, dispatch, Shared, StartError};
 use crate::shard::LocalizerFactory;
 use crate::sync::lock_recover;
-
-/// Reader poll interval for the shutdown flag (mirrors the NDJSON server).
-const READ_POLL: Duration = Duration::from_millis(100);
 
 /// A running fleet worker. Dropping (or calling [`WorkerHandle::shutdown`])
 /// stops the listener, drains the shards, and joins every thread.
@@ -162,7 +159,7 @@ pub fn start_worker(
 
 /// Serve one router connection: handshake, then one envelope per frame.
 fn serve_connection(stream: TcpStream, shared: &Shared, index: usize) {
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if setup_stream(&stream, Some(READ_POLL)).is_err() {
         return;
     }
     let Ok(mut writer) = stream.try_clone() else {

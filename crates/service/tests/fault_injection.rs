@@ -43,7 +43,7 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").expect("write request");
+        service::proto::write_line(&mut self.writer, line).expect("write request");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
         parse(reply.trim()).unwrap_or_else(|e| panic!("bad reply {reply:?}: {e}"))
@@ -85,11 +85,11 @@ impl Client {
 
 fn http_get(addr: SocketAddr, path: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("connect to metrics listener");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
+    stream
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .unwrap();
     let mut response = String::new();
     stream
         .read_to_string(&mut response)

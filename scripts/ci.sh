@@ -73,8 +73,12 @@
 #                                  calibration-normalized sustained
 #                                  ingest dropped >20% against
 #                                  results/BENCH_throughput.baseline.json
+#  17. rapbench tests          -- builds the standalone benchmark package
+#                                  (rapbench/, its own workspace, which
+#                                  calls service::proto directly) and
+#                                  runs its unit and smoke tests
 #
-# Step filters (for iterating on one gate without the other fifteen):
+# Step filters (for iterating on one gate without the other sixteen):
 #   CI_STEPS=10,16 scripts/ci.sh   run only the listed steps
 #   CI_SKIP=11     scripts/ci.sh   run everything except the listed steps
 # A per-step wall-clock summary is printed on exit, pass or fail.
@@ -194,5 +198,6 @@ step 13 "introspection gate" cargo test -p service --offline -q --test introspec
 step 14 "crash-recovery gate" cargo test -p rapminer-suite --offline -q --test crash_recovery
 step 15 "fleet-torture gate" cargo test -p rapminer-suite --offline -q --test fleet_torture
 step 16 "throughput gate" throughput_gate
+step 17 "rapbench tests" cargo test --release --offline --manifest-path rapbench/Cargo.toml
 
 echo "==> tier-1 gate passed"

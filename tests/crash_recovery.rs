@@ -11,7 +11,7 @@
 //!   (forward compatibility is pinned, not assumed).
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -132,7 +132,7 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("write request");
+        service::proto::write_line(&mut self.writer, line).expect("write request");
     }
 
     fn read_reply(&mut self) -> Json {
@@ -305,13 +305,16 @@ fn assert_accounting(stats: &Json) {
 }
 
 /// Stream the whole frame sequence uninterrupted, drain gracefully, and
-/// return the spooled incidents.
+/// return the spooled incidents. `tag` names the spool directory: tests
+/// run in parallel, and two daemons sharing a spool would replay each
+/// other's journals.
 fn baseline_run(
+    tag: &str,
     schema: &Schema,
     frames: &[Vec<(Vec<String>, f64)>],
     extra: &[&str],
 ) -> (Vec<String>, Vec<String>) {
-    let spool = temp_spool("baseline");
+    let spool = temp_spool(tag);
     let mut daemon = spawn_daemon_with(&spool, extra);
     let mut client = Client::connect(&daemon.addr);
     ok(client.request(&schema_line("edge", schema)));
@@ -350,7 +353,7 @@ fn sigkill_mid_stream_loses_no_frames_and_duplicates_no_incidents() {
     let (schema, frames) = outage_stream(steps, fail_at, seed);
 
     // --- the uninterrupted truth ---
-    let (baseline, baseline_tokens) = baseline_run(&schema, &frames, &[]);
+    let (baseline, baseline_tokens) = baseline_run("baseline", &schema, &frames, &[]);
     assert!(
         !baseline.is_empty(),
         "the injected outage must spool incidents"
@@ -525,7 +528,7 @@ fn sigkill_under_wal_fsync_matches_the_uninterrupted_run() {
     let fail_at = 40usize;
     let (schema, frames) = outage_stream(steps, fail_at, 20220607);
 
-    let (baseline, _) = baseline_run(&schema, &frames, FSYNC);
+    let (baseline, _) = baseline_run("fsync-baseline", &schema, &frames, FSYNC);
     assert!(
         !baseline.is_empty(),
         "the injected outage must spool incidents"

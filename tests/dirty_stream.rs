@@ -38,7 +38,7 @@ impl Client {
     }
 
     fn send_line(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("write request");
+        service::proto::write_line(&mut self.writer, line).expect("write request");
     }
 
     fn read_reply(&mut self) -> Json {
@@ -218,11 +218,11 @@ fn canonical_incidents(reply: &Json) -> Vec<String> {
 fn http_get(addr: SocketAddr, path: &str) -> String {
     use std::io::Read;
     let mut stream = TcpStream::connect(addr).expect("connect to metrics listener");
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n"
-    )
-    .unwrap();
+    stream
+        .write_all(
+            format!("GET {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n").as_bytes(),
+        )
+        .unwrap();
     let mut response = String::new();
     stream
         .read_to_string(&mut response)

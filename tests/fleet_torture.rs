@@ -15,7 +15,7 @@
 //!   run — no frame lost, none double-applied.
 
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -140,7 +140,7 @@ impl Client {
     }
 
     fn request(&mut self, line: &str) -> Json {
-        writeln!(self.writer, "{line}").expect("write request");
+        service::proto::write_line(&mut self.writer, line).expect("write request");
         let mut reply = String::new();
         self.reader.read_line(&mut reply).expect("read reply");
         parse(reply.trim()).unwrap_or_else(|e| panic!("bad reply {reply:?}: {e}"))
@@ -321,9 +321,14 @@ fn assert_unique_tokens(tokens: &[String]) {
 
 /// Stream every tenant uninterrupted through one single-process daemon
 /// (`--workers 0`), drain gracefully, and return the sorted canonical
-/// incidents: the ground truth every fleet run must reproduce.
-fn single_process_baseline(streams: &[(String, Schema, WireFrames)]) -> (Vec<String>, Vec<String>) {
-    let spool = temp_spool("baseline");
+/// incidents: the ground truth every fleet run must reproduce. `tag`
+/// names the spool directory: tests run in parallel, and two daemons
+/// sharing a spool would replay each other's journals.
+fn single_process_baseline(
+    tag: &str,
+    streams: &[(String, Schema, WireFrames)],
+) -> (Vec<String>, Vec<String>) {
+    let spool = temp_spool(tag);
     let mut daemon = spawn(&spool, 0);
     let mut client = Client::connect(&daemon.addr);
     for (tenant, schema, _) in streams {
@@ -400,7 +405,7 @@ fn killing_random_workers_loses_no_acked_frames() {
         .collect();
 
     // --- the uninterrupted single-process truth ---
-    let (baseline, baseline_tokens) = single_process_baseline(&streams);
+    let (baseline, baseline_tokens) = single_process_baseline("kills-baseline", &streams);
     assert!(
         !baseline.is_empty(),
         "the injected outages must spool incidents"
@@ -465,13 +470,15 @@ fn killing_random_workers_loses_no_acked_frames() {
         respawns >= kills,
         "every kill must respawn: {respawns} respawns for {kills} kills"
     );
-    // accounting holds on every current worker lifetime
+
+    // accounting holds on every current worker lifetime once the flush
+    // barrier has drained the replayed and redelivered frames
+    let reply = ok(client.request(r#"{"type":"flush"}"#));
+    assert_eq!(reply.get("flushed").and_then(Json::as_bool), Some(true));
+    let stats = client.request(r#"{"type":"stats"}"#);
     for worker in stats.get("workers").and_then(Json::as_arr).unwrap() {
         assert_accounting(worker.get("stats").expect("per-worker stats"));
     }
-
-    let reply = ok(client.request(r#"{"type":"flush"}"#));
-    assert_eq!(reply.get("flushed").and_then(Json::as_bool), Some(true));
     let reply = ok(client.request(r#"{"type":"shutdown"}"#));
     assert_eq!(reply.get("draining").and_then(Json::as_bool), Some(true));
     let status = daemon.child.wait().expect("wait for rapd");
@@ -498,7 +505,7 @@ fn live_handoff_is_byte_identical_to_an_uninterrupted_run() {
     let (schema, frames) = outage_stream(steps, fail_at, 20220607);
     let streams = vec![("edge".to_string(), schema.clone(), frames.clone())];
 
-    let (baseline, baseline_tokens) = single_process_baseline(&streams);
+    let (baseline, baseline_tokens) = single_process_baseline("handoff-baseline", &streams);
     assert!(
         !baseline.is_empty(),
         "the injected outage must spool incidents"
