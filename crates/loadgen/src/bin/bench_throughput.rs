@@ -7,8 +7,7 @@
 //!
 //! 1. measures **sustained leaves/second** in saturation mode (rate 0:
 //!    the sender is closed only by TCP backpressure), interleaved with a
-//!    JSON-parse calibration kernel so the gate number is
-//!    host-independent;
+//!    fixed calibration kernel so the gate number is host-independent;
 //! 2. re-runs each daemon config **paced** at half its measured ceiling
 //!    to record honest ack-latency quantiles (p50/p90/p99/p999, measured
 //!    from the open-loop schedule, coordination-omission corrected) and
@@ -20,13 +19,13 @@
 //!    non-zero on a >20 % regression — exactly how `bench_localize`
 //!    gates the search path.
 //!
-//! The calibration kernel parses the frame book's own observe lines with
-//! `service::json::parse` — the same parser, on the same bytes, that
-//! dominates the daemon's ingest cost — so `sustained / calibrate`
-//! cancels host speed while an ingest-path regression only moves the
-//! numerator. Saturation and calibration trials are interleaved and the
-//! gate uses the **median of per-pair ratios**, so sustained host drift
-//! cancels pairwise.
+//! The calibration kernel runs FNV-1a over the frame book's own observe
+//! lines — the bytes the daemon ingests, through a self-contained loop
+//! that shares no code with it — so `sustained / calibrate` cancels host
+//! speed while any change to the ingest path, faster or slower, only
+//! moves the numerator. Saturation and calibration trials are
+//! interleaved and the gate uses the **median of per-pair ratios**, so
+//! sustained host drift cancels pairwise.
 //!
 //! Usage: `bench_throughput [--write-baseline] [--quick]`
 //!   --write-baseline  rewrite `results/BENCH_throughput.baseline.json`
@@ -139,21 +138,21 @@ impl Drop for Daemon {
     }
 }
 
-/// One calibration pass: parse every observe line of the book with the
-/// daemon's own JSON parser and return leaves parsed per second.
+/// One calibration pass: FNV-1a over every observe line of the book,
+/// returned as leaves hashed per second.
 fn calibrate_once(book: &FrameBook) -> f64 {
     let start = Instant::now();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
     let mut leaves = 0u64;
     for tenant in &book.tenants {
-        for line in &tenant.lines {
-            let doc = parse(line).expect("book lines are valid JSON");
-            leaves += doc
-                .get("rows")
-                .and_then(Json::as_arr)
-                .map_or(0, |r| r.len()) as u64;
+        for (line, &rows) in tenant.lines.iter().zip(&tenant.leaves) {
+            for &b in std::hint::black_box(line.as_bytes()) {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            leaves += u64::from(rows);
         }
     }
-    std::hint::black_box(leaves);
+    std::hint::black_box(hash);
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     leaves as f64 / secs
 }

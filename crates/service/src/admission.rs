@@ -42,7 +42,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use mdkpi::Schema;
+use mdkpi::{ElementId, Schema};
 
 use crate::proto::ProtoError;
 use crate::sync::lock_recover;
@@ -62,6 +62,8 @@ pub(crate) enum Verdict {
         reason: &'static str,
         /// Human-oriented explanation for the quarantine record.
         detail: String,
+        /// The frame's rows exactly as they arrived.
+        rows: WireRows,
     },
 }
 
@@ -125,10 +127,10 @@ impl AdmissionControl {
         &self,
         tenant: &str,
         schema: &Schema,
-        rows: &[(Vec<String>, f64)],
+        mut rows: WireRows,
     ) -> Result<Verdict, ProtoError> {
         let num_attrs = schema.num_attributes();
-        for (names, _) in rows {
+        for (names, _) in &rows {
             if names.len() != num_attrs {
                 return Err(ProtoError::Arity {
                     expected: num_attrs,
@@ -136,71 +138,89 @@ impl AdmissionControl {
                 });
             }
         }
-        for (names, value) in rows {
-            if !value.is_finite() {
-                return Ok(Verdict::Quarantine {
-                    reason: "non_finite",
-                    detail: format!("leaf ({}) value {value} is not finite", names.join(", ")),
-                });
-            }
-        }
-
-        // Schema drift: strip rows with known-drifted values; a new
-        // unknown value beyond the allowance quarantines the frame.
-        let mut kept: WireRows = Vec::with_capacity(rows.len());
-        let mut repaired_drift = 0u64;
-        {
-            let mut drifted = lock_recover(&self.drifted);
-            let registry = drifted.entry(tenant.to_string()).or_default();
-            'rows: for (names, value) in rows {
-                for (attr_id, name) in schema.attr_ids().zip(names.iter()) {
-                    let attr = schema.attribute(attr_id);
-                    if attr.element(name).is_some() {
-                        continue;
-                    }
-                    let key = (attr.name().to_string(), name.clone());
-                    if !registry.contains(&key) {
-                        if registry.len() >= self.drift_limit {
-                            return Ok(Verdict::Quarantine {
-                                reason: "schema_drift",
-                                detail: format!(
-                                    "unknown {}=\"{}\" exceeds the drift allowance of {}",
-                                    key.0, key.1, self.drift_limit
-                                ),
-                            });
-                        }
-                        registry.insert(key);
-                    }
-                    repaired_drift += 1;
-                    continue 'rows;
-                }
-                kept.push((names.clone(), *value));
-            }
-        }
-        if kept.is_empty() && !rows.is_empty() {
+        if let Some((names, value)) = rows.iter().find(|(_, value)| !value.is_finite()) {
+            let detail = format!("leaf ({}) value {value} is not finite", names.join(", "));
             return Ok(Verdict::Quarantine {
-                reason: "schema_drift",
-                detail: "every row referenced unknown attribute values".to_string(),
+                reason: "non_finite",
+                detail,
+                rows,
             });
         }
 
-        // Duplicate leaves: keep the last value at the first occurrence's
-        // position, so row order stays stable for downstream comparison.
-        let mut index: HashMap<Vec<String>, usize> = HashMap::with_capacity(kept.len());
-        let mut rows_out: WireRows = Vec::with_capacity(kept.len());
-        let mut repaired_duplicate = 0u64;
-        for (names, value) in kept {
-            if let Some(&i) = index.get(&names) {
-                rows_out[i].1 = value;
-                repaired_duplicate += 1;
-            } else {
-                index.insert(names.clone(), rows_out.len());
-                rows_out.push((names, value));
+        // Schema drift, in one read-only pass that resolves every name
+        // once: strip rows with known-drifted values; a new unknown value
+        // beyond the allowance quarantines the untouched frame. Only a
+        // row's first unknown value is judged.
+        let mut keep = vec![true; rows.len()];
+        let mut ids: Vec<ElementId> = Vec::with_capacity(rows.len() * num_attrs);
+        let mut repaired_drift = 0u64;
+        let mut drifted = None;
+        for (row, (names, _)) in rows.iter().enumerate() {
+            let start = ids.len();
+            for (attr_id, name) in schema.attr_ids().zip(names) {
+                let attr = schema.attribute(attr_id);
+                if let Some(id) = attr.element(name) {
+                    ids.push(id);
+                    continue;
+                }
+                let registry = drifted
+                    .get_or_insert_with(|| lock_recover(&self.drifted))
+                    .entry(tenant.to_string())
+                    .or_default();
+                let key = (attr.name().to_string(), name.clone());
+                if !registry.contains(&key) {
+                    if registry.len() >= self.drift_limit {
+                        let detail = format!(
+                            "unknown {}=\"{}\" exceeds the drift allowance of {}",
+                            key.0, key.1, self.drift_limit
+                        );
+                        return Ok(Verdict::Quarantine {
+                            reason: "schema_drift",
+                            detail,
+                            rows,
+                        });
+                    }
+                    registry.insert(key);
+                }
+                repaired_drift += 1;
+                ids.truncate(start);
+                keep[row] = false;
+                break;
             }
         }
+        drop(drifted);
+        if !rows.is_empty() && !keep.contains(&true) {
+            return Ok(Verdict::Quarantine {
+                reason: "schema_drift",
+                detail: "every row referenced unknown attribute values".to_string(),
+                rows,
+            });
+        }
+
+        // Duplicate leaves, keyed on the resolved ids: keep the last value
+        // at the first occurrence's position, so row order stays stable
+        // for downstream comparison.
+        let mut leaves = ids.chunks_exact(num_attrs);
+        let mut first: HashMap<&[ElementId], usize> = HashMap::with_capacity(rows.len());
+        let mut repaired_duplicate = 0u64;
+        for row in 0..rows.len() {
+            if !keep[row] {
+                continue;
+            }
+            let Some(leaf) = leaves.next() else { break };
+            if let Some(&at) = first.get(leaf) {
+                rows[at].1 = rows[row].1;
+                keep[row] = false;
+                repaired_duplicate += 1;
+            } else {
+                first.insert(leaf, row);
+            }
+        }
+        let mut keep = keep.into_iter();
+        rows.retain(|_| keep.next() == Some(true));
 
         let mut repaired_negative = 0u64;
-        for (_, value) in &mut rows_out {
+        for (_, value) in &mut rows {
             if *value < 0.0 {
                 *value = 0.0;
                 repaired_negative += 1;
@@ -208,7 +228,7 @@ impl AdmissionControl {
         }
 
         Ok(Verdict::Admit(Admitted {
-            rows: rows_out,
+            rows,
             repaired_duplicate,
             repaired_negative,
             repaired_drift,
@@ -233,7 +253,8 @@ mod tests {
     }
 
     fn admit(ac: &AdmissionControl, rows: &[(Vec<String>, f64)]) -> Verdict {
-        ac.admit("t", &schema(), rows).expect("no protocol error")
+        ac.admit("t", &schema(), rows.to_vec())
+            .expect("no protocol error")
     }
 
     #[test]
@@ -253,7 +274,7 @@ mod tests {
     fn arity_mismatch_is_a_protocol_error_not_a_quarantine() {
         let ac = AdmissionControl::new(8);
         let rows = vec![(vec!["L1".to_string()], 1.0)];
-        let err = ac.admit("t", &schema(), &rows).unwrap_err();
+        let err = ac.admit("t", &schema(), rows).unwrap_err();
         assert_eq!(
             err,
             ProtoError::Arity {
@@ -269,7 +290,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let rows = vec![row("L1", "I1", 5.0), row("L2", "I2", bad)];
             match admit(&ac, &rows) {
-                Verdict::Quarantine { reason, detail } => {
+                Verdict::Quarantine { reason, detail, .. } => {
                     assert_eq!(reason, "non_finite");
                     assert!(detail.contains("L2"), "detail names the leaf: {detail}");
                 }
@@ -350,11 +371,39 @@ mod tests {
             other => panic!("first unknown fits the allowance: {other:?}"),
         }
         match admit(&ac, &[row("L8", "I1", 1.0), row("L1", "I1", 2.0)]) {
-            Verdict::Quarantine { reason, detail } => {
+            Verdict::Quarantine { reason, detail, .. } => {
                 assert_eq!(reason, "schema_drift");
                 assert!(detail.contains("L8"), "detail names the value: {detail}");
             }
             other => panic!("second distinct unknown must quarantine: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn quarantine_carries_the_rows_as_they_arrived() {
+        let ac = AdmissionControl::new(0);
+        let rows = vec![
+            row("L1", "I1", -1.0),
+            row("L1", "I1", 2.0),
+            row("L9", "I1", 3.0),
+        ];
+        match admit(&ac, &rows) {
+            Verdict::Quarantine {
+                reason, rows: kept, ..
+            } => {
+                assert_eq!(reason, "schema_drift");
+                assert_eq!(kept, rows, "no repair touches a quarantined frame");
+            }
+            other => panic!("unknown value must quarantine: {other:?}"),
+        }
+        let rows = vec![row("L1", "I1", -1.0), row("L2", "I2", f64::NAN)];
+        match admit(&ac, &rows) {
+            Verdict::Quarantine { rows: kept, .. } => {
+                assert_eq!(kept.len(), 2);
+                assert_eq!(kept[0], rows[0]);
+                assert!(kept[1].1.is_nan());
+            }
+            other => panic!("NaN must quarantine: {other:?}"),
         }
     }
 
@@ -381,12 +430,12 @@ mod tests {
         let ac = AdmissionControl::new(1);
         let s = schema();
         assert!(matches!(
-            ac.admit("a", &s, &[row("L9", "I1", 1.0), row("L1", "I1", 2.0)]),
+            ac.admit("a", &s, vec![row("L9", "I1", 1.0), row("L1", "I1", 2.0)]),
             Ok(Verdict::Admit(_))
         ));
         // tenant "b" has its own empty registry with its own allowance
         assert!(matches!(
-            ac.admit("b", &s, &[row("L8", "I1", 1.0), row("L1", "I1", 2.0)]),
+            ac.admit("b", &s, vec![row("L8", "I1", 1.0), row("L1", "I1", 2.0)]),
             Ok(Verdict::Admit(_))
         ));
         assert_eq!(ac.drift_len("a"), 1);

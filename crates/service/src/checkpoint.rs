@@ -27,7 +27,7 @@
 //! refuses boot; it costs a re-warm, not the daemon.
 
 use std::fs::{self, File};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -40,6 +40,7 @@ use pipeline::{
 
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::proto::write_line;
 use crate::quarantine::sanitize_tenant;
 use crate::sink::{frame_spool_line, judge_line, LineVerdict};
 
@@ -378,7 +379,7 @@ impl CheckpointStore {
             let tmp = path.with_extension("json.tmp");
             {
                 let mut f = File::create(&tmp)?;
-                writeln!(f, "{line}")?;
+                write_line(&mut f, &line)?;
                 f.sync_all()?;
             }
             if path.exists() {

@@ -5,7 +5,7 @@
 //! this module hand-rolls the small JSON subset rapd speaks: objects,
 //! arrays, strings (with escapes), finite numbers, booleans, and null.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,6 +80,34 @@ impl Json {
         }
     }
 
+    /// Move the value of an object's key out, leaving `null` in its place
+    /// (`None` for a missing key or another variant).
+    pub(crate) fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| std::mem::replace(v, Json::Null)),
+            _ => None,
+        }
+    }
+
+    /// The owned string payload, if this is a string.
+    pub(crate) fn into_string(self) -> Option<String> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The owned elements, if this is an array.
+    pub(crate) fn into_arr(self) -> Option<Vec<Json>> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
     /// Render to a compact single-line JSON string.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -125,30 +153,42 @@ impl fmt::Display for Json {
     }
 }
 
+// `fmt::Write` for `String` never fails, so the `write!` results below are
+// discarded.
 fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON cannot express NaN/Infinity; null is the lossless-ish fallback
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        out.push_str(&format!("{}", n as i64));
+        let _ = write!(out, "{}", n as i64);
     } else {
-        out.push_str(&format!("{n}"));
+        let _ = write!(out, "{n}");
     }
 }
 
 fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        // every byte that needs escaping is ASCII, so `run..i` is whole
+        // chars
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -159,6 +199,7 @@ fn write_escaped(s: &str, out: &mut String) {
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -172,6 +213,7 @@ pub fn parse(input: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -244,13 +286,21 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one go.
+            // Both delimiters are ASCII, so the run ends on a char boundary.
+            let start = self.pos;
+            self.pos += self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     let esc = self.peek().ok_or("unterminated escape")?;
                     self.pos += 1;
@@ -265,20 +315,14 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let cp = self.hex4()?;
-                            // surrogate pairs: a high surrogate must be
-                            // followed by \uXXXX with the low half
+                            // A high surrogate combines only with a
+                            // following low-surrogate escape; otherwise it
+                            // degrades to U+FFFD and whatever follows is
+                            // decoded on its own.
                             let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.peek() == Some(b'\\') {
-                                    self.pos += 1;
-                                    self.expect(b'u')?;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000
-                                        + ((cp - 0xD800) << 10)
-                                        + (lo.wrapping_sub(0xDC00) & 0x3FF);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
+                                self.low_surrogate().and_then(|lo| {
+                                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00))
+                                })
                             } else {
                                 char::from_u32(cp)
                             };
@@ -287,16 +331,20 @@ impl Parser<'_> {
                         c => return Err(format!("bad escape '\\{}'", c as char)),
                     }
                 }
-                Some(_) => {
-                    // consume one UTF-8 scalar (input is a &str, so valid)
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
+    }
+
+    /// Consume a `\uXXXX` escape in `DC00..E000` if one comes next.
+    fn low_surrogate(&mut self) -> Option<u32> {
+        let esc = self.bytes.get(self.pos..self.pos + 6)?;
+        let hex = std::str::from_utf8(esc.strip_prefix(b"\\u")?).ok()?;
+        let lo = u32::from_str_radix(hex, 16).ok()?;
+        if !(0xDC00..0xE000).contains(&lo) {
+            return None;
+        }
+        self.pos += 6;
+        Some(lo)
     }
 
     fn hex4(&mut self) -> Result<u32, String> {
@@ -391,6 +439,113 @@ mod tests {
         assert_eq!(parse(r#""😀""#).unwrap(), Json::str("😀"));
         // lone high surrogate degrades to the replacement character
         assert_eq!(parse(r#""\ud83dx""#).unwrap(), Json::str("\u{FFFD}x"));
+        // a high surrogate followed by a non-low escape keeps that escape
+        assert_eq!(parse(r#""\ud83dA""#).unwrap(), Json::str("\u{FFFD}A"));
+        assert_eq!(parse(r#""\ud83d\n""#).unwrap(), Json::str("\u{FFFD}\n"));
+        // a lone low surrogate is not a scalar value either
+        assert_eq!(parse(r#""\ude00""#).unwrap(), Json::str("\u{FFFD}"));
+    }
+
+    /// The char-at-a-time writer this module used before it copied
+    /// unescaped runs; the bytes it produced are what spools, WALs and
+    /// replies already hold.
+    fn reference_escaped(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// Seeded random strings mixing ASCII, multibyte chars, quotes,
+    /// backslashes and control characters (splitmix64; no dependency).
+    fn random_strings(seed: u64, count: usize) -> Vec<String> {
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{1f}',
+            '\u{7f}', 'é', '€', '中', '😀', '\u{FFFD}',
+        ];
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as usize
+        };
+        (0..count)
+            .map(|_| {
+                let len = next() % 40;
+                (0..len)
+                    .map(|_| ALPHABET[next() % ALPHABET.len()])
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn random_strings_roundtrip_through_render_and_parse() {
+        for s in random_strings(0x5EED, 2000) {
+            let v = Json::str(s.clone());
+            let text = v.render();
+            assert_eq!(text, reference_escaped(&s), "writer bytes for {s:?}");
+            assert_eq!(parse(&text).unwrap(), v, "round trip of {s:?}");
+            // as an object key and inside an array too
+            let doc = Json::Obj(vec![(s.clone(), Json::Arr(vec![v.clone(), Json::Null]))]);
+            assert_eq!(parse(&doc.render()).unwrap(), doc);
+        }
+    }
+
+    #[test]
+    fn writer_bytes_match_the_reference_on_numbers_and_escapes() {
+        let doc = Json::Obj(vec![
+            ("tenant\t\"q\"".to_string(), Json::str("a\\b\u{2}é")),
+            (
+                "rows".to_string(),
+                Json::Arr(vec![
+                    Json::Num(0.0),
+                    Json::Num(-0.0),
+                    Json::Num(42.0),
+                    Json::Num(-7.0),
+                    Json::Num(1e15),
+                    Json::Num(123_456_789_012_345.0),
+                    Json::Num(0.1),
+                    Json::Num(-2.5),
+                    Json::Num(1.0 / 3.0),
+                    Json::Num(1e-7),
+                    Json::Num(f64::INFINITY),
+                ]),
+            ),
+        ]);
+        assert_eq!(
+            doc.render(),
+            concat!(
+                r#"{"tenant\t\"q\"":"a\\b\u0002é","rows":"#,
+                r#"[0,0,42,-7,1000000000000000,123456789012345,"#,
+                r#"0.1,-2.5,0.3333333333333333,0.0000001,null]}"#
+            )
+        );
+    }
+
+    #[test]
+    fn a_megabyte_string_parses_in_linear_time() {
+        let body = "é-ab".repeat(200_000);
+        let text = format!("[\"{body}\",\"{body}\\n\"]");
+        assert!(text.len() > 1_000_000);
+        let started = std::time::Instant::now();
+        let v = parse(&text).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(body.as_str()));
+        // a quadratic scan needs minutes here; a linear one milliseconds
+        assert!(elapsed.as_secs_f64() < 5.0, "took {elapsed:?}");
     }
 
     #[test]

@@ -265,8 +265,8 @@ pub fn parse_request(line: &str, max_bytes: usize) -> Result<Request, ProtoError
         .and_then(Json::as_str)
         .ok_or(ProtoError::MissingType)?;
     match msg_type {
-        "schema" => parse_schema(&doc),
-        "observe" => parse_observe(&doc),
+        "schema" => parse_schema(doc),
+        "observe" => parse_observe(doc),
         "flush" => Ok(Request::Flush),
         "stats" => Ok(Request::Stats),
         "incidents" => {
@@ -348,81 +348,70 @@ fn required_str(doc: &Json, msg: &'static str, field: &'static str) -> Result<St
     }
 }
 
-fn parse_schema(doc: &Json) -> Result<Request, ProtoError> {
-    let tenant = required_str(doc, "schema", "tenant")?;
+/// An owned `[a, b]` pair, if `v` is a two-element array.
+fn into_pair(v: Json) -> Option<(Json, Json)> {
+    let [a, b] = <[Json; 2]>::try_from(v.into_arr()?).ok()?;
+    Some((a, b))
+}
+
+/// The owned strings of `v`, if it is an array of strings.
+fn into_strings(v: Json) -> Option<Vec<String>> {
+    v.into_arr()?.into_iter().map(Json::into_string).collect()
+}
+
+// The parsed tree is consumed: element names move into the request
+// instead of being copied out of it.
+fn parse_schema(mut doc: Json) -> Result<Request, ProtoError> {
+    let tenant = required_str(&doc, "schema", "tenant")?;
+    let bad = || ProtoError::BadField {
+        msg: "schema",
+        field: "attributes",
+        expected: "an array of [name, [elements]] pairs",
+    };
     let attrs = doc
-        .get("attributes")
+        .take("attributes")
         .ok_or(ProtoError::MissingField {
             msg: "schema",
             field: "attributes",
         })?
-        .as_arr()
-        .ok_or(ProtoError::BadField {
-            msg: "schema",
-            field: "attributes",
-            expected: "an array of [name, [elements]] pairs",
-        })?;
+        .into_arr()
+        .ok_or_else(bad)?;
     let mut attributes = Vec::with_capacity(attrs.len());
     for pair in attrs {
-        let bad = ProtoError::BadField {
-            msg: "schema",
-            field: "attributes",
-            expected: "an array of [name, [elements]] pairs",
-        };
-        let items = pair.as_arr().ok_or_else(|| bad.clone())?;
-        let [name, elements] = items else {
-            return Err(bad);
-        };
-        let name = name.as_str().ok_or_else(|| bad.clone())?;
-        let elements = elements
-            .as_arr()
-            .ok_or_else(|| bad.clone())?
-            .iter()
-            .map(|e| e.as_str().map(str::to_string).ok_or_else(|| bad.clone()))
-            .collect::<Result<Vec<String>, ProtoError>>()?;
-        attributes.push((name.to_string(), elements));
+        let (name, elements) = into_pair(pair).ok_or_else(bad)?;
+        let name = name.into_string().ok_or_else(bad)?;
+        let elements = into_strings(elements).ok_or_else(bad)?;
+        attributes.push((name, elements));
     }
     Ok(Request::Schema { tenant, attributes })
 }
 
-fn parse_observe(doc: &Json) -> Result<Request, ProtoError> {
-    let tenant = required_str(doc, "observe", "tenant")?;
-    let raw_rows = doc
-        .get("rows")
-        .ok_or(ProtoError::MissingField {
-            msg: "observe",
-            field: "rows",
-        })?
-        .as_arr()
-        .ok_or(ProtoError::BadField {
-            msg: "observe",
-            field: "rows",
-            expected: "an array of [[elements...], value] pairs",
-        })?;
-    let bad = ProtoError::BadField {
+fn parse_observe(mut doc: Json) -> Result<Request, ProtoError> {
+    let tenant = required_str(&doc, "observe", "tenant")?;
+    let bad = || ProtoError::BadField {
         msg: "observe",
         field: "rows",
         expected: "an array of [[elements...], value] pairs",
     };
+    let raw_rows = doc
+        .take("rows")
+        .ok_or(ProtoError::MissingField {
+            msg: "observe",
+            field: "rows",
+        })?
+        .into_arr()
+        .ok_or_else(bad)?;
     let mut rows = Vec::with_capacity(raw_rows.len());
     for row in raw_rows {
-        let items = row.as_arr().ok_or_else(|| bad.clone())?;
-        let [elements, value] = items else {
-            return Err(bad);
-        };
-        let elements = elements
-            .as_arr()
-            .ok_or_else(|| bad.clone())?
-            .iter()
-            .map(|e| e.as_str().map(str::to_string).ok_or_else(|| bad.clone()))
-            .collect::<Result<Vec<String>, ProtoError>>()?;
+        let (elements, value) = into_pair(row).ok_or_else(bad)?;
+        let elements = into_strings(elements).ok_or_else(bad)?;
         // JSON cannot carry NaN, so `null` is the wire form of a missing
         // or NaN measurement; the parser itself guarantees `Json::Num` is
         // finite. The NaN survives to admission control, which quarantines
         // the frame with a reason instead of dropping it as a parse error.
         let value = match value {
             Json::Null => f64::NAN,
-            v => v.as_f64().ok_or_else(|| bad.clone())?,
+            v => v.as_f64().ok_or_else(bad)?,
         };
         rows.push((elements, value));
     }

@@ -18,13 +18,14 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::proto::write_line;
 use crate::sink::frame_spool_line;
 use crate::sync::lock_recover;
 
@@ -225,7 +226,7 @@ impl QuarantineSink {
             if obs::fail::should_error("quarantine-write-error") {
                 return Err(io::Error::other("injected quarantine write error"));
             }
-            writeln!(file, "{line}").and_then(|()| file.flush())?;
+            write_line(file, &line)?;
             *bytes += line.len() as u64 + 1;
             if self.max_bytes > 0 && *bytes > self.max_bytes {
                 // rotate this tenant's segment: current → `.jsonl.1`

@@ -517,7 +517,7 @@ fn observe_pairs(
     // (arity is an error and does not count as ingested) but
     // *before* the ingested counter, so `processed + dropped +
     // shed + quarantined == ingested` holds at every fence.
-    let verdict = shared.admission.admit(&tenant, &schema, &rows)?;
+    let verdict = shared.admission.admit(&tenant, &schema, rows)?;
     shared
         .metrics
         .frames_ingested
@@ -528,7 +528,11 @@ fn observe_pairs(
         *seen = (*seen).max(id.seq());
     }
     match verdict {
-        Verdict::Quarantine { reason, detail } => {
+        Verdict::Quarantine {
+            reason,
+            detail,
+            rows,
+        } => {
             shared.quarantine.record(QuarantineRecord {
                 tenant,
                 frame_id: Some(id.as_str().to_string()),
@@ -566,7 +570,7 @@ fn observe_pairs(
                     frame: token.clone(),
                     seq: id.seq(),
                     ts,
-                    rows: admitted.rows.clone(),
+                    rows: admitted.rows,
                 });
             }
             shared.pool.ingest(id, &tenant, frame, ts);

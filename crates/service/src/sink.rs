@@ -27,7 +27,7 @@
 
 use std::collections::{HashSet, VecDeque};
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,6 +37,7 @@ use rapminer::LocalizationTrace;
 
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::proto::write_line;
 use crate::sync::lock_recover;
 
 /// One incident, flattened to the interchange form the spool and the
@@ -308,18 +309,31 @@ fn trace_to_json(trace: &LocalizationTrace) -> Json {
     ])
 }
 
-/// IEEE CRC-32 (polynomial `0xEDB88320`), bitwise — the spool is
-/// low-volume (one line per incident) so a lookup table buys nothing.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
+/// The CRC of every byte value, one table step per input byte instead of
+/// eight bit steps.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            bit += 1;
         }
+        table[i] = crc;
+        i += 1;
     }
-    !crc
+    table
+};
+
+/// IEEE CRC-32 (polynomial `0xEDB88320`). Every framed line goes through
+/// it — WAL appends on the ingest path included — so it is table-driven.
+pub(crate) fn crc32(data: &[u8]) -> u32 {
+    !data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
+        CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
+    })
 }
 
 /// One spool line's payload with its checksum suffix.
@@ -584,19 +598,17 @@ impl IncidentSink {
             if obs::fail::should_error("spool-write-error") {
                 Err(io::Error::other("injected spool write error"))
             } else {
-                writeln!(file, "{line}")
-                    .and_then(|()| file.flush())
-                    .and_then(|()| {
-                        let bytes = spool
-                            .bytes
-                            .fetch_add(line.len() as u64 + 1, Ordering::Relaxed)
-                            + line.len() as u64
-                            + 1;
-                        if spool.max_bytes > 0 && bytes > spool.max_bytes {
-                            self.rotate(spool, &mut file)?;
-                        }
-                        Ok(())
-                    })
+                write_line(&mut *file, &line).and_then(|()| {
+                    let bytes = spool
+                        .bytes
+                        .fetch_add(line.len() as u64 + 1, Ordering::Relaxed)
+                        + line.len() as u64
+                        + 1;
+                    if spool.max_bytes > 0 && bytes > spool.max_bytes {
+                        self.rotate(spool, &mut file)?;
+                    }
+                    Ok(())
+                })
             }
         };
         if let Err(e) = result {
@@ -740,6 +752,31 @@ mod tests {
         // standard IEEE CRC-32 check values
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    #[test]
+    fn table_crc32_matches_the_bitwise_definition() {
+        fn bitwise(data: &[u8]) -> u32 {
+            let mut crc = 0xFFFF_FFFFu32;
+            for &b in data {
+                crc ^= u32::from(b);
+                for _ in 0..8 {
+                    let mask = (crc & 1).wrapping_neg();
+                    crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+                }
+            }
+            !crc
+        }
+        let data: Vec<u8> = (0..4096u32)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+            .collect();
+        for len in [0, 1, 2, 3, 7, 64, 255, 256, 1000, 4096] {
+            assert_eq!(crc32(&data[..len]), bitwise(&data[..len]), "length {len}");
+        }
     }
 
     #[test]

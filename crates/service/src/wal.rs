@@ -43,6 +43,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
+use crate::proto::write_line;
 use crate::quarantine::sanitize_tenant;
 use crate::sink::{frame_spool_line, repair_spool};
 use crate::sync::lock_recover;
@@ -218,8 +219,7 @@ impl FrameWal {
             if obs::fail::should_error("wal-append-error") {
                 return Err(io::Error::other("injected wal append error"));
             }
-            writeln!(file, "{line}")?;
-            file.flush()?;
+            write_line(file, &line)?;
             if self.fsync {
                 file.sync_data()?;
             }
@@ -391,7 +391,7 @@ impl FrameWal {
             .create(true)
             .append(true)
             .open(&path)
-            .and_then(|mut f| writeln!(f, "{line}").and_then(|()| f.flush()));
+            .and_then(|mut f| write_line(&mut f, &line));
         if let Err(e) = result {
             obs::warn(
                 "rapd.wal",
@@ -552,6 +552,32 @@ mod tests {
         // foreign shapes are skipped, not fatal
         let junk = crate::json::parse(r#"{"tenant":"t","seq":"not-a-number"}"#).unwrap();
         assert_eq!(WalEntry::from_json(&junk), None);
+    }
+
+    #[test]
+    fn journal_line_bytes_are_pinned() {
+        // Escapes, integer-valued and fractional floats: the bytes every
+        // existing journal already holds, CRC suffix included.
+        let e = WalEntry {
+            tenant: "edge \"eu\"\\1".to_string(),
+            frame: "edge-0000002a-7".to_string(),
+            seq: 42,
+            ts: Some(1_700_000_000_000),
+            rows: vec![
+                (vec!["L1".to_string(), "S\té".to_string()], 100.0),
+                (vec!["L2".to_string(), "S2".to_string()], 0.25),
+                (vec!["L3".to_string(), "S\u{1}".to_string()], 12_345_678.5),
+            ],
+        };
+        assert_eq!(
+            frame_spool_line(&e.to_json().render()),
+            concat!(
+                r#"{"tenant":"edge \"eu\"\\1","frame":"edge-0000002a-7","seq":42,"#,
+                r#""ts":1700000000000,"rows":[[["L1","S\té"],100],[["L2","S2"],0.25],"#,
+                r#"[["L3","S\u0001"],12345678.5]]}"#,
+                "\ta0358a9b"
+            )
+        );
     }
 
     #[test]

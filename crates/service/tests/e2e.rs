@@ -201,6 +201,9 @@ fn rapd_localizes_a_streamed_cdn_failure_under_backpressure() {
     );
 
     // --- phase 1: healthy warmup traffic, no alarms expected ---
+    // Each frame is flushed through before the next is sent: the ack
+    // returns before the shard has processed the frame, so back-to-back
+    // requests can outrun the 4-deep queue even without overload.
     let base_minute = 2 * 24 * 60;
     let warmup_frames = 25usize;
     for step in 0..warmup_frames {
@@ -211,13 +214,13 @@ fn rapd_localizes_a_streamed_cdn_failure_under_backpressure() {
             Some("ok"),
             "{reply}"
         );
+        let reply = client.request(r#"{"type":"flush"}"#);
+        assert_eq!(
+            reply.get("flushed").and_then(Json::as_bool),
+            Some(true),
+            "{reply}"
+        );
     }
-    let reply = client.request(r#"{"type":"flush"}"#);
-    assert_eq!(
-        reply.get("flushed").and_then(Json::as_bool),
-        Some(true),
-        "{reply}"
-    );
     let stats = client.request(r#"{"type":"stats"}"#);
     assert_eq!(
         stats.get("alarms").and_then(Json::as_u64),
@@ -290,15 +293,14 @@ fn rapd_localizes_a_streamed_cdn_failure_under_backpressure() {
     let incidents = client.request(r#"{"type":"incidents","limit":100}"#);
     let list = incidents.get("incidents").and_then(Json::as_arr).unwrap();
     assert_eq!(list.len() as u64, alarms, "ring must hold every alarm");
+    // The localizer may find no pattern for an alarmed frame, so an
+    // incident can carry an empty RAP list.
     let top_raps: Vec<&str> = list
         .iter()
-        .map(|i| {
+        .filter_map(|i| {
             assert_eq!(i.get("tenant").and_then(Json::as_str), Some("edge"));
-            i.get("raps").and_then(Json::as_arr).unwrap()[0]
-                .as_arr()
-                .unwrap()[0]
-                .as_str()
-                .unwrap()
+            let top = i.get("raps").and_then(Json::as_arr).unwrap().first()?;
+            Some(top.as_arr().unwrap()[0].as_str().unwrap())
         })
         .collect();
     assert!(
@@ -321,12 +323,11 @@ fn rapd_localizes_a_streamed_cdn_failure_under_backpressure() {
     assert_eq!(spool_lines.len() as u64, alarms, "one spool line per alarm");
     let spooled_l4 = spool_lines.iter().any(|line| {
         let doc = parse(line).expect("spool lines are valid JSON");
-        doc.get("raps").and_then(Json::as_arr).unwrap()[0]
-            .as_arr()
-            .unwrap()[0]
-            .as_str()
+        doc.get("raps")
+            .and_then(Json::as_arr)
             .unwrap()
-            .contains("L4")
+            .first()
+            .is_some_and(|top| top.as_arr().unwrap()[0].as_str().unwrap().contains("L4"))
     });
     assert!(spooled_l4, "the L4 incident must be spooled");
 
