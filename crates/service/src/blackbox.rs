@@ -9,9 +9,9 @@
 //!
 //! # File format
 //!
-//! A dump is JSONL with the same `{json}\t{crc32:08x}` framing as the
-//! incident spool, so a dump torn by the very crash it was recording still
-//! recovers line-by-line:
+//! A dump is JSONL with the logs' `{json}\t{crc32:08x}` framing (see
+//! [`crate::segment`]), so a dump torn by the very crash it was recording
+//! still recovers line-by-line:
 //!
 //! 1. one header line: `{"kind":"blackbox","trigger":...,"tenant":...,
 //!    "frame":...,"ts_micros":...,"rings":N}`;
@@ -32,7 +32,7 @@ use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::sink::{frame_spool_line, judge_line, LineVerdict};
+use crate::segment::{self, unframe, LineVerdict};
 
 /// Writes flight-recorder dumps into `<spool_dir>/blackbox/`.
 #[derive(Debug)]
@@ -107,8 +107,7 @@ impl BlackboxWriter {
             ("ts_micros".to_string(), Json::Num(micros as f64)),
             ("rings".to_string(), Json::Num(rings.len() as f64)),
         ]);
-        out.push_str(&frame_spool_line(&header.render()));
-        out.push('\n');
+        out.push_str(&segment::frame(header.render()));
         for ring in &rings {
             let ring_header = Json::Obj(vec![
                 ("kind".to_string(), Json::str("ring")),
@@ -117,11 +116,9 @@ impl BlackboxWriter {
                 ("dropped".to_string(), Json::Num(ring.dropped as f64)),
                 ("lines".to_string(), Json::Num(ring.lines.len() as f64)),
             ]);
-            out.push_str(&frame_spool_line(&ring_header.render()));
-            out.push('\n');
+            out.push_str(&segment::frame(ring_header.render()));
             for line in &ring.lines {
-                out.push_str(&frame_spool_line(line));
-                out.push('\n');
+                out.push_str(&segment::frame(line.clone()));
             }
         }
         let result = fs::File::create(&path).and_then(|mut f| {
@@ -198,8 +195,8 @@ pub struct BlackboxRing {
 /// malformed (nothing recoverable at all).
 pub fn read_dump(path: &Path) -> io::Result<BlackboxDump> {
     let data = fs::read_to_string(path)?;
-    let mut payloads = data.lines().filter_map(|line| match judge_line(line) {
-        LineVerdict::Verified => line.rsplit_once('\t').map(|(json, _)| json),
+    let mut payloads = data.lines().filter_map(|line| match unframe(line) {
+        (LineVerdict::Verified, json) => Some(json),
         _ => None,
     });
     let header_line = payloads
@@ -338,9 +335,11 @@ mod tests {
             obs::info("bbox", "torn_line", &[]);
             writer.dump("deadline", "t", None).expect("dump path")
         };
-        // tear the final line mid-write, as a crash would
+        // tear the worker's final line mid-write, as a crash would; the
+        // rings of concurrently running tests may follow it in the dump,
+        // so cut inside that line rather than at the end of the file
         let text = fs::read_to_string(&path).unwrap();
-        let cut = text.len() - 10;
+        let cut = text.find("torn_line").expect("worker line dumped");
         fs::write(&path, &text[..cut]).unwrap();
         let dump = read_dump(&path).unwrap();
         assert_eq!(dump.trigger, "deadline");

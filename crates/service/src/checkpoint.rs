@@ -19,14 +19,15 @@
 //!
 //! # Atomicity and fallback
 //!
-//! Writes go through a temp file, `fsync`, then two renames: the current
-//! snapshot becomes `<stem>.json.prev`, the temp file becomes current. A
-//! crash at any point leaves a valid current or previous snapshot. Loads
-//! fall back in order — current, then `.prev`, then cold start — counting
-//! rejects in `rapd_checkpoint_corrupt_total`. A corrupt checkpoint never
-//! refuses boot; it costs a re-warm, not the daemon.
+//! Writes go through the logs' atomic replace
+//! ([`crate::segment::replace`]): a temp file, `fsync`, then two renames —
+//! the current snapshot becomes `<stem>.json.prev`, the temp file becomes
+//! current. A crash at any point leaves a valid current or previous
+//! snapshot. Loads fall back in order — current, then `.prev`, then cold
+//! start — counting rejects in `rapd_checkpoint_corrupt_total`. A corrupt
+//! checkpoint never refuses boot; it costs a re-warm, not the daemon.
 
-use std::fs::{self, File};
+use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering;
@@ -40,9 +41,7 @@ use pipeline::{
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::proto::write_line;
-use crate::quarantine::sanitize_tenant;
-use crate::sink::{frame_spool_line, judge_line, LineVerdict};
+use crate::segment::{frame, replace, sanitize_tenant, unframe, LineVerdict};
 
 /// The checkpoint format version this build writes and accepts.
 const VERSION: u64 = 1;
@@ -374,19 +373,13 @@ impl CheckpointStore {
     /// the previous snapshot and counts `rapd_checkpoint_errors_total`.
     pub fn write(&self, checkpoint: &TenantCheckpoint) {
         let path = self.path_for(&checkpoint.tenant);
-        let line = frame_spool_line(&checkpoint.to_json().render());
-        let result = (|| -> io::Result<()> {
-            let tmp = path.with_extension("json.tmp");
-            {
-                let mut f = File::create(&tmp)?;
-                write_line(&mut f, &line)?;
-                f.sync_all()?;
-            }
+        let line = frame(checkpoint.to_json().render());
+        let result = replace(&path, line.as_bytes(), || {
             if path.exists() {
                 fs::rename(&path, path.with_extension("json.prev"))?;
             }
-            fs::rename(&tmp, &path)
-        })();
+            Ok(())
+        });
         match result {
             Ok(()) => {
                 self.metrics
@@ -414,12 +407,12 @@ impl CheckpointStore {
 
     fn load_file(&self, path: &Path) -> Option<TenantCheckpoint> {
         let data = fs::read_to_string(path).ok()?;
-        let line = data.lines().next()?;
-        if judge_line(line) != LineVerdict::Verified {
-            return None;
+        match unframe(data.lines().next()?) {
+            (LineVerdict::Verified, json) => {
+                TenantCheckpoint::from_json(&crate::json::parse(json).ok()?)
+            }
+            _ => None,
         }
-        let (json, _) = line.rsplit_once('\t')?;
-        TenantCheckpoint::from_json(&crate::json::parse(json).ok()?)
     }
 
     /// Load the latest valid snapshot for `tenant`: the current file

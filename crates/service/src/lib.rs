@@ -82,6 +82,7 @@ pub mod proto;
 pub(crate) mod quarantine;
 pub mod retry;
 pub mod router;
+pub(crate) mod segment;
 pub mod server;
 pub mod shard;
 pub mod sink;
@@ -103,9 +104,10 @@ pub use proto::{ProtoError, Request};
 pub use quarantine::QuarantineRecord;
 pub use retry::{with_retry, Backoff};
 pub use router::{start_router, RouterConfig, RouterHandle};
+pub use segment::SpoolRecovery;
 pub use server::{start, ServerHandle, StartError};
 pub use shard::LocalizerFactory;
-pub use sink::{DetectionRecord, IncidentRecord, IncidentSink, SpoolRecovery};
+pub use sink::{DetectionRecord, IncidentRecord, IncidentSink};
 pub use wal::WalEntry;
 pub use worker::start_worker;
 

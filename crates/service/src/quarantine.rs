@@ -2,31 +2,29 @@
 //! not lost.
 //!
 //! Frames the admission layer or the watermark reorder buffer refuses are
-//! written as checksummed JSONL to a per-tenant file under
-//! `<spool_dir>/quarantine/` (same `{json}\t{crc32:08x}` framing as the
-//! incident spool) and retained in a bounded in-memory ring that the
-//! `quarantine` control verb serves. Recording is infallible from the
-//! caller's perspective: a write failure latches the sink into ring-only
-//! mode (`rapd_quarantine_degraded` gauge,
+//! written as checksummed JSONL to a per-tenant segment under
+//! `<spool_dir>/quarantine/` and retained in a bounded in-memory ring that
+//! the `quarantine` control verb serves. The spool is a [`SegmentLog`]
+//! (see [`crate::segment`]): a tenant's segment is repaired when this
+//! process first appends to it, rotates to `.jsonl.1` past
+//! `--spool-max-bytes`, and a write failure latches the sink into
+//! ring-only mode (`rapd_quarantine_degraded` gauge,
 //! `rapd_quarantine_write_errors_total` counter) instead of failing the
-//! ingest path.
+//! ingest path. The ring and the per-reason counters are the sink's own.
 //!
 //! Quarantine records produced by the reorder buffer (`late`, `replay`)
 //! carry no rows: by that point the frame has been resolved to internal
 //! element ids, so the record preserves provenance (tenant, timestamp,
 //! reason) rather than payload.
 
-use std::collections::{HashMap, VecDeque};
-use std::fs::{self, File, OpenOptions};
+use std::collections::VecDeque;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::proto::write_line;
-use crate::sink::frame_spool_line;
+use crate::segment::{frame, sanitize_tenant, LogSpec, SegmentLog};
 use crate::sync::lock_recover;
 
 /// One quarantined frame, as served by the `quarantine` control verb and
@@ -89,63 +87,22 @@ impl QuarantineRecord {
     }
 }
 
-/// Map a tenant id onto a safe, collision-free file stem: anything
-/// outside `[A-Za-z0-9_-]` becomes `_`, so a hostile tenant string
-/// cannot escape the quarantine directory, and any name that needed
-/// replacement carries a CRC32 suffix of its raw bytes so two distinct
-/// tenants (`a.b`, `a:b`) can never collapse onto one stem — the WAL
-/// and checkpoint store key files by stem, so a shared stem would
-/// cross-corrupt their journals and snapshots. Already-safe names keep
-/// their exact stem (and their existing on-disk files); sanitizing is
-/// idempotent either way, since a hashed stem is itself all safe
-/// characters.
-pub(crate) fn sanitize_tenant(tenant: &str) -> String {
-    let mut lossy = tenant.is_empty();
-    let stem: String = tenant
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                lossy = true;
-                '_'
-            }
-        })
-        .collect();
-    if !lossy {
-        return stem;
-    }
-    let stem = if stem.is_empty() {
-        "_".to_string()
-    } else {
-        stem
-    };
-    format!("{stem}-{:08x}", crate::sink::crc32(tenant.as_bytes()))
-}
-
 /// Where refused frames go: per-tenant checksummed JSONL spools plus a
 /// bounded in-memory ring.
 #[derive(Debug)]
 pub(crate) struct QuarantineSink {
     /// `<spool_dir>/quarantine`; `None` keeps records ring-only.
-    dir: Option<PathBuf>,
-    /// Lazily opened per-tenant append handles with their current byte
-    /// counts, keyed by sanitized stem.
-    files: Mutex<HashMap<String, (File, u64)>>,
+    spool: Option<SegmentLog>,
     ring: Mutex<VecDeque<QuarantineRecord>>,
     ring_capacity: usize,
-    /// Rotate a tenant's spool when it exceeds this many bytes (current
-    /// file renamed to `.jsonl.1`, evicting the previous segment); `0`
-    /// disables rotation.
-    max_bytes: u64,
     metrics: Arc<Metrics>,
-    /// Latched on the first write error; the sink then serves ring-only.
-    degraded: AtomicBool,
 }
 
 impl QuarantineSink {
     /// Open the sink. When `spool_dir` is given, `<spool_dir>/quarantine`
-    /// is created; per-tenant files open lazily on first use.
+    /// is created; per-tenant segments open lazily on first use. A
+    /// tenant's segment rotates once it exceeds `max_bytes` (`0`
+    /// disables rotation).
     ///
     /// # Errors
     ///
@@ -156,34 +113,30 @@ impl QuarantineSink {
         max_bytes: u64,
         metrics: Arc<Metrics>,
     ) -> io::Result<Self> {
-        let dir = match spool_dir {
-            None => None,
-            Some(base) => {
-                let dir = base.join("quarantine");
-                fs::create_dir_all(&dir)?;
-                Some(dir)
-            }
+        let spec = LogSpec {
+            target: "rapd.quarantine",
+            degraded_event: "quarantine_degraded",
+            failpoint: "quarantine-write-error",
+            errors: |m| &m.quarantine_write_errors,
+            degraded: |m| &m.quarantine_degraded,
+            rotate: Some((max_bytes, |m| &m.spool_rotations.quarantine)),
+            fsync: false,
         };
+        let spool = spool_dir
+            .map(|base| SegmentLog::open(base.join("quarantine"), spec, Arc::clone(&metrics)))
+            .transpose()?;
         Ok(QuarantineSink {
-            dir,
-            files: Mutex::new(HashMap::new()),
+            spool,
             ring: Mutex::new(VecDeque::new()),
             ring_capacity: ring_capacity.max(1),
-            max_bytes,
             metrics,
-            degraded: AtomicBool::new(false),
         })
     }
 
-    /// Whether a write error has degraded the sink to ring-only.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
     /// Record one refused frame: bump the reason's
-    /// `rapd_frames_quarantined_total` counter, push to the ring
-    /// (evicting the oldest when full), and append the checksummed spool
-    /// line. Infallible: a write failure degrades the sink to ring-only.
+    /// `rapd_frames_quarantined_total` counter, append the checksummed
+    /// spool line, and push to the ring (evicting the oldest when full).
+    /// Infallible: a write failure degrades the sink to ring-only.
     pub fn record(&self, record: QuarantineRecord) {
         for (label, counter) in self.metrics.frames_quarantined.named() {
             if label == record.reason {
@@ -199,70 +152,17 @@ impl QuarantineSink {
                 ("detail", obs::Value::Str(record.detail.clone())),
             ],
         );
-        let line = frame_spool_line(&record.to_json().render());
-        let stem = sanitize_tenant(&record.tenant);
-        {
-            let mut ring = lock_recover(&self.ring);
-            if ring.len() == self.ring_capacity {
-                ring.pop_front();
-            }
-            ring.push_back(record);
+        if let Some(log) = &self.spool {
+            log.append(
+                &sanitize_tenant(&record.tenant),
+                &frame(record.to_json().render()),
+            );
         }
-        let Some(dir) = &self.dir else { return };
-        if self.degraded.load(Ordering::Relaxed) {
-            return;
+        let mut ring = lock_recover(&self.ring);
+        if ring.len() == self.ring_capacity {
+            ring.pop_front();
         }
-        let result = (|| {
-            let mut files = lock_recover(&self.files);
-            let path = dir.join(format!("{stem}.jsonl"));
-            let (file, bytes) = match files.entry(stem) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                    let len = file.metadata().map(|m| m.len()).unwrap_or(0);
-                    e.insert((file, len))
-                }
-            };
-            if obs::fail::should_error("quarantine-write-error") {
-                return Err(io::Error::other("injected quarantine write error"));
-            }
-            write_line(file, &line)?;
-            *bytes += line.len() as u64 + 1;
-            if self.max_bytes > 0 && *bytes > self.max_bytes {
-                // rotate this tenant's segment: current → `.jsonl.1`
-                // (evicting the previous one), fresh file for appends
-                let old = path.with_extension("jsonl.1");
-                match fs::remove_file(&old) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
-                fs::rename(&path, &old)?;
-                *file = OpenOptions::new().create(true).append(true).open(&path)?;
-                *bytes = 0;
-                self.metrics
-                    .spool_rotations
-                    .quarantine
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(())
-        })();
-        if let Err(e) = result {
-            self.metrics
-                .quarantine_write_errors
-                .fetch_add(1, Ordering::Relaxed);
-            if !self.degraded.swap(true, Ordering::Relaxed) {
-                self.metrics.quarantine_degraded.store(1, Ordering::Relaxed);
-                obs::warn(
-                    "rapd.quarantine",
-                    "quarantine_degraded",
-                    &[
-                        ("error", obs::Value::Str(e.to_string())),
-                        ("dir", obs::Value::Str(dir.display().to_string())),
-                    ],
-                );
-            }
-        }
+        ring.push_back(record);
     }
 
     /// The most recent records, newest first, at most `limit`.
@@ -270,21 +170,21 @@ impl QuarantineSink {
         let ring = lock_recover(&self.ring);
         ring.iter().rev().take(limit).cloned().collect()
     }
-
-    /// Records currently held in the ring.
-    #[cfg(test)]
-    pub fn ring_len(&self) -> usize {
-        lock_recover(&self.ring).len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{judge_line, LineVerdict};
+    use crate::segment::{unframe, LineVerdict};
+    use std::fs;
+    use std::path::PathBuf;
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
+    }
+
+    fn ring_len(sink: &QuarantineSink) -> usize {
+        lock_recover(&sink.ring).len()
     }
 
     fn record(tenant: &str, reason: &'static str, ts: Option<u64>) -> QuarantineRecord {
@@ -312,7 +212,7 @@ mod tests {
             sink.record(record("t", "non_finite", Some(i)));
         }
         sink.record(record("t", "late", None));
-        assert_eq!(sink.ring_len(), 3);
+        assert_eq!(ring_len(&sink), 3);
         let recent = sink.recent(2);
         assert_eq!(recent[0].reason, "late");
         assert_eq!(recent[1].ts, Some(4));
@@ -322,7 +222,11 @@ mod tests {
             "record() itself owns the counters"
         );
         assert_eq!(m.frames_quarantined.late.load(Ordering::Relaxed), 1);
-        assert!(!sink.is_degraded(), "no spool, nothing to degrade");
+        assert_eq!(
+            m.quarantine_degraded.load(Ordering::Relaxed),
+            0,
+            "no spool, nothing to degrade"
+        );
     }
 
     #[test]
@@ -335,7 +239,7 @@ mod tests {
         let a = fs::read_to_string(dir.join("quarantine/edge-1.jsonl")).unwrap();
         assert_eq!(a.lines().count(), 2);
         for line in a.lines() {
-            assert!(matches!(judge_line(line), LineVerdict::Verified));
+            assert_eq!(unframe(line).0, LineVerdict::Verified);
         }
         // NaN row values render as JSON null, like the wire encoding
         let (json, _) = a.lines().next().unwrap().rsplit_once('\t').unwrap();
@@ -403,7 +307,27 @@ mod tests {
             .unwrap();
         assert!(quiet.contains("\"late\""));
         assert!(!kept.contains("quiet"), "segments never mix tenants");
-        assert!(!sink.is_degraded());
+        assert_eq!(m.quarantine_degraded.load(Ordering::Relaxed), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_is_repaired_before_the_first_append() {
+        let dir = scratch("torn");
+        {
+            let sink = QuarantineSink::open(Some(&dir), 8, 0, metrics()).unwrap();
+            sink.record(record("t", "late", Some(1)));
+        }
+        // a crash mid-write leaves half a record and no newline
+        let path = dir.join("quarantine/t.jsonl");
+        let intact = fs::read_to_string(&path).unwrap();
+        fs::write(&path, format!("{intact}{{\"tenant\":\"t\",\"fra")).unwrap();
+        let sink = QuarantineSink::open(Some(&dir), 8, 0, metrics()).unwrap();
+        sink.record(record("t", "late", Some(2)));
+        let text = fs::read_to_string(&path).unwrap();
+        assert!(text.starts_with(&intact), "the intact prefix survives");
+        assert_eq!(text.lines().count(), 2, "the fragment is gone");
+        assert!(text.lines().all(|l| unframe(l).0 == LineVerdict::Verified));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -416,12 +340,11 @@ mod tests {
         // open fails — a stand-in for a full or vanished volume
         fs::create_dir_all(dir.join("quarantine/t.jsonl")).unwrap();
         sink.record(record("t", "non_finite", None));
-        assert!(sink.is_degraded());
         assert_eq!(m.quarantine_write_errors.load(Ordering::Relaxed), 1);
         assert_eq!(m.quarantine_degraded.load(Ordering::Relaxed), 1);
         // later records still land in the ring and keep counting
         sink.record(record("t", "late", None));
-        assert_eq!(sink.ring_len(), 2);
+        assert_eq!(ring_len(&sink), 2);
         assert_eq!(m.frames_quarantined.late.load(Ordering::Relaxed), 1);
         assert_eq!(
             m.quarantine_write_errors.load(Ordering::Relaxed),

@@ -839,7 +839,7 @@ fn debug_reply(shared: &Shared, tenant: Option<&str>) -> String {
                 ("wal_enabled".to_string(), Json::Bool(shared.wal.is_some())),
                 (
                     "wal_degraded".to_string(),
-                    Json::Bool(shared.wal.as_ref().is_some_and(|w| w.is_degraded())),
+                    Json::Bool(m.wal_degraded.load(Ordering::Relaxed) != 0),
                 ),
                 (
                     "wal_depth".to_string(),
@@ -915,31 +915,26 @@ fn tenant_debug_json(name: &str, d: &TenantDebug) -> Json {
     ])
 }
 
-/// Fault-tolerance health summary: `"degraded"` whenever the incident or
-/// quarantine spool fell back to ring-only mode or any tenant breaker is
-/// currently open.
+/// Fault-tolerance health summary: `"degraded"` whenever a log (incident
+/// spool, quarantine spool, WAL) fell back to its lossy mode or any
+/// tenant breaker is currently open.
 fn health_reply(shared: &Shared) -> String {
     let m = &shared.metrics;
-    let spool_degraded = shared.sink.is_degraded();
-    let quarantine_degraded = shared.quarantine.is_degraded();
-    let wal_degraded = shared.wal.as_ref().is_some_and(|w| w.is_degraded());
+    // the latched logs by name: the same source as the
+    // rapd_degraded{subsystem=...} gauge family
+    let latched = m.degraded_subsystems().map(|(name, v)| (name, v != 0));
     let open_breakers = m.total_breaker_open();
-    let status = if spool_degraded || quarantine_degraded || wal_degraded || open_breakers > 0 {
+    let degraded: Vec<Json> = latched
+        .iter()
+        .filter(|(_, on)| *on)
+        .map(|(name, _)| Json::str(*name))
+        .collect();
+    let status = if !degraded.is_empty() || open_breakers > 0 {
         "degraded"
     } else {
         "ok"
     };
-    // the latched lossy-fallback subsystems by name, mirroring the
-    // rapd_degraded{subsystem=...} gauge family
-    let degraded: Vec<Json> = [
-        ("incident_spool", spool_degraded),
-        ("quarantine_spool", quarantine_degraded),
-        ("wal", wal_degraded),
-    ]
-    .into_iter()
-    .filter(|(_, latched)| *latched)
-    .map(|(name, _)| Json::str(name))
-    .collect();
+    let [(_, spool_degraded), (_, quarantine_degraded), (_, wal_degraded)] = latched;
     Json::Obj(vec![
         ("type".to_string(), Json::str("health")),
         ("status".to_string(), Json::str(status)),

@@ -7,18 +7,13 @@
 //! bounded ring so the control socket can answer `incidents` queries
 //! without touching disk.
 //!
-//! # Spool framing and recovery
-//!
-//! Each spool line is `{json}\t{crc32:08x}` — the IEEE CRC-32 of the JSON
-//! bytes, hex-encoded after a tab. On startup [`IncidentSink::open`] scans
-//! any existing spool: lines whose checksum verifies are kept, pre-CRC
-//! lines that still parse as JSON are kept read-only (legacy), and
-//! torn/corrupt bytes — typically the tail left by a crash mid-write — are
-//! truncated, with every outcome counted in [`crate::Metrics`]. The repair
-//! rewrites through a temp file and renames it into place, so a crash
-//! during recovery itself never loses the original spool.
-//!
-//! # Degraded mode
+//! The spool is a [`SegmentLog`] with one segment: framing, torn-tail
+//! repair, rotation to `incidents.jsonl.1` past `--spool-max-bytes` and
+//! the degraded latch live there (see [`crate::segment`]). What is the
+//! sink's own: the ring, and the frame-token dedup that keeps incidents
+//! exactly-once across a WAL replay. [`IncidentSink::open`] reads the
+//! spool once, repairing it and seeding the dedup set in the same pass,
+//! with the recovery tallies counted in [`crate::Metrics`].
 //!
 //! [`IncidentSink::record`] is infallible from the worker's perspective:
 //! if a spool write fails (disk full, volume gone), the sink latches into
@@ -26,10 +21,9 @@
 //! and keeps serving from memory instead of failing frames.
 
 use std::collections::{HashSet, VecDeque};
-use std::fs::{self, File, OpenOptions};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use pipeline::{IncidentReport, StageTimings};
@@ -37,8 +31,11 @@ use rapminer::LocalizationTrace;
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::proto::write_line;
+use crate::segment::{frame, read_payloads, LogSpec, SegmentLog, SpoolRecovery};
 use crate::sync::lock_recover;
+
+/// The spool's one segment stem.
+const SPOOL: &str = "incidents";
 
 /// One incident, flattened to the interchange form the spool and the
 /// control socket share.
@@ -309,146 +306,10 @@ fn trace_to_json(trace: &LocalizationTrace) -> Json {
     ])
 }
 
-/// The CRC of every byte value, one table step per input byte instead of
-/// eight bit steps.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 (polynomial `0xEDB88320`). Every framed line goes through
-/// it — WAL appends on the ingest path included — so it is table-driven.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    !data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
-        CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
-    })
-}
-
-/// One spool line's payload with its checksum suffix.
-pub(crate) fn frame_spool_line(json: &str) -> String {
-    format!("{json}\t{:08x}", crc32(json.as_bytes()))
-}
-
-/// What [`IncidentSink::open`] found when scanning an existing spool.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpoolRecovery {
-    /// Lines whose CRC-32 suffix verified.
-    pub recovered: u64,
-    /// Pre-CRC lines accepted read-only because they parse as JSON.
-    pub legacy: u64,
-    /// Torn or corrupt bytes dropped from the file.
-    pub truncated_bytes: u64,
-}
-
-/// Verdict on one scanned spool line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LineVerdict {
-    /// CRC suffix present and correct.
-    Verified,
-    /// No CRC suffix, but the whole line parses as a JSON object
-    /// (a spool written before checksumming existed).
-    Legacy,
-    /// Torn or corrupt: drop it.
-    Corrupt,
-}
-
-pub(crate) fn judge_line(line: &str) -> LineVerdict {
-    if let Some((json, suffix)) = line.rsplit_once('\t') {
-        if suffix.len() == 8
-            && suffix.chars().all(|c| c.is_ascii_hexdigit())
-            && u32::from_str_radix(suffix, 16) == Ok(crc32(json.as_bytes()))
-        {
-            return LineVerdict::Verified;
-        }
-    }
-    match crate::json::parse(line) {
-        Ok(Json::Obj(_)) => LineVerdict::Legacy,
-        _ => LineVerdict::Corrupt,
-    }
-}
-
-/// Scan an existing spool, keep every intact line, and truncate the rest.
-///
-/// The repaired content is written to a sibling temp file first and
-/// renamed over the original, so a crash mid-repair leaves either the old
-/// or the new spool — never a half-written one. A missing file is an empty
-/// recovery, not an error. Shared with the WAL and checkpoint stores,
-/// which use the same line framing.
-pub(crate) fn repair_spool(path: &Path) -> io::Result<SpoolRecovery> {
-    let data = match fs::read_to_string(path) {
-        Ok(data) => data,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(SpoolRecovery::default()),
-        Err(e) => return Err(e),
-    };
-    let mut recovery = SpoolRecovery::default();
-    let mut kept = String::with_capacity(data.len());
-    let mut dropped_any = false;
-    // `lines()` also yields a final unterminated fragment; if its checksum
-    // verifies the write actually completed and only the newline was lost,
-    // so it is kept (re-terminated). Anything else at the tail is torn.
-    let unterminated_tail = !data.is_empty() && !data.ends_with('\n');
-    for line in data.lines() {
-        match judge_line(line) {
-            LineVerdict::Verified => recovery.recovered += 1,
-            LineVerdict::Legacy => recovery.legacy += 1,
-            LineVerdict::Corrupt => {
-                dropped_any = true;
-                continue;
-            }
-        }
-        kept.push_str(line);
-        kept.push('\n');
-    }
-    recovery.truncated_bytes = (data.len() as u64).saturating_sub(kept.len() as u64);
-    if dropped_any || unterminated_tail {
-        let tmp = path.with_extension("jsonl.repair");
-        fs::write(&tmp, &kept)?;
-        fs::rename(&tmp, path)?;
-    }
-    Ok(recovery)
-}
-
-/// Harvest the frame tokens of every intact incident line in `path` into
-/// `seen` — the boot-time seed of the replay-dedup set. A missing or
-/// unreadable segment contributes nothing (recovery must never refuse to
-/// boot over a spool).
-fn collect_frame_tokens(path: &Path, seen: &mut HashSet<String>) {
-    let Ok(data) = fs::read_to_string(path) else {
-        return;
-    };
-    for line in data.lines() {
-        let json = match judge_line(line) {
-            LineVerdict::Verified => match line.rsplit_once('\t') {
-                Some((json, _)) => json,
-                None => continue,
-            },
-            LineVerdict::Legacy => line,
-            LineVerdict::Corrupt => continue,
-        };
-        if let Ok(doc) = crate::json::parse(json) {
-            if let Some(frame) = doc.get("frame").and_then(Json::as_str) {
-                seen.insert(frame.to_string());
-            }
-        }
-    }
-}
-
 /// Where incidents go: crash-safe JSONL spool (optional) + bounded ring.
 #[derive(Debug)]
 pub struct IncidentSink {
-    spool: Option<Spool>,
+    spool: Option<SegmentLog>,
     ring: Mutex<VecDeque<IncidentRecord>>,
     ring_capacity: usize,
     /// Frame tokens already present in the spool at open time plus every
@@ -459,29 +320,16 @@ pub struct IncidentSink {
     metrics: Arc<Metrics>,
 }
 
-#[derive(Debug)]
-struct Spool {
-    path: PathBuf,
-    file: Mutex<File>,
-    /// Current spool size in bytes, maintained by appends; seeds the
-    /// size-based rotation check.
-    bytes: AtomicU64,
-    /// Rotate when the spool exceeds this many bytes; `0` disables.
-    max_bytes: u64,
-    /// Latched on the first write error; the sink then serves ring-only.
-    degraded: AtomicBool,
-}
-
 impl IncidentSink {
     /// Open the sink. When `spool_dir` is given the directory is created,
-    /// any existing `incidents.jsonl` is scanned and repaired (see the
-    /// module docs), and the file is opened for append. Recovery tallies
-    /// land in `metrics` (`rapd_spool_recovered_lines`,
-    /// `rapd_spool_legacy_lines`, `rapd_spool_truncated_bytes`). Frame
-    /// tokens found in the spool (and its rotated `.jsonl.1` segment)
-    /// seed the replay-dedup set. `max_bytes > 0` enables size-based
-    /// rotation: when the spool exceeds the cap, the current file
-    /// becomes `incidents.jsonl.1`, evicting the previous segment.
+    /// any existing `incidents.jsonl` is repaired (see the module docs),
+    /// and the file is opened for append. Recovery tallies land in
+    /// `metrics` (`rapd_spool_recovered_lines`, `rapd_spool_legacy_lines`,
+    /// `rapd_spool_truncated_bytes`). Frame tokens found in the spool (and
+    /// its rotated `.jsonl.1` segment) seed the replay-dedup set.
+    /// `max_bytes > 0` enables size-based rotation: when the spool exceeds
+    /// the cap, the current file becomes `incidents.jsonl.1`, evicting the
+    /// previous segment.
     ///
     /// # Errors
     ///
@@ -497,12 +345,27 @@ impl IncidentSink {
         let spool = match spool_dir {
             None => None,
             Some(dir) => {
-                fs::create_dir_all(dir)?;
-                let path = dir.join("incidents.jsonl");
-                let recovery = repair_spool(&path)?;
-                for segment in [path.with_extension("jsonl.1"), path.clone()] {
-                    collect_frame_tokens(&segment, &mut seen_frames);
-                }
+                let spec = LogSpec {
+                    target: "sink",
+                    degraded_event: "spool_degraded",
+                    failpoint: "spool-write-error",
+                    errors: |m| &m.spool_write_errors,
+                    degraded: |m| &m.spool_degraded,
+                    rotate: Some((max_bytes, |m| &m.spool_rotations.incidents)),
+                    fsync: false,
+                };
+                let log = SegmentLog::open(dir.to_path_buf(), spec, Arc::clone(&metrics))?;
+                let mut seed = |payload: &str| {
+                    let doc = crate::json::parse(payload).ok();
+                    if let Some(frame) = doc.as_ref().and_then(|d| d.get("frame")?.as_str()) {
+                        seen_frames.insert(frame.to_string());
+                    }
+                };
+                read_payloads(&log.rotated_path(SPOOL), &mut seed);
+                let (recovery, _) = log.scan(SPOOL, |payload| {
+                    seed(payload);
+                    true
+                })?;
                 metrics
                     .spool_recovered_lines
                     .store(recovery.recovered, Ordering::Relaxed);
@@ -526,15 +389,8 @@ impl IncidentSink {
                         ],
                     );
                 }
-                let file = OpenOptions::new().create(true).append(true).open(&path)?;
-                let bytes = file.metadata().map(|m| m.len()).unwrap_or(0);
-                Some(Spool {
-                    path,
-                    file: Mutex::new(file),
-                    bytes: AtomicU64::new(bytes),
-                    max_bytes,
-                    degraded: AtomicBool::new(false),
-                })
+                log.open_segment(SPOOL)?;
+                Some(log)
             }
         };
         Ok(IncidentSink {
@@ -547,20 +403,13 @@ impl IncidentSink {
     }
 
     /// The spool file path, when spooling is enabled.
-    pub fn spool_path(&self) -> Option<&Path> {
-        self.spool.as_ref().map(|s| s.path.as_path())
+    pub fn spool_path(&self) -> Option<PathBuf> {
+        self.spool.as_ref().map(|log| log.path(SPOOL))
     }
 
-    /// Whether a spool write error has degraded the sink to ring-only.
-    pub fn is_degraded(&self) -> bool {
-        self.spool
-            .as_ref()
-            .is_some_and(|s| s.degraded.load(Ordering::Relaxed))
-    }
-
-    /// Record one incident: push to the ring (evicting the oldest entry
-    /// when full) and append the checksummed spool line, flushed
-    /// immediately — incidents are rare and must survive a crash.
+    /// Record one incident: append the checksummed spool line, flushed
+    /// immediately — incidents are rare and must survive a crash — and
+    /// push it to the ring (evicting the oldest entry when full).
     ///
     /// Exactly-once across restarts: a record whose frame token is
     /// already in the spool (a WAL-replayed frame that alarmed before
@@ -581,81 +430,14 @@ impl IncidentSink {
                 return;
             }
         }
-        let line = frame_spool_line(&record.to_json().render());
-        {
-            let mut ring = lock_recover(&self.ring);
-            if ring.len() == self.ring_capacity {
-                ring.pop_front();
-            }
-            ring.push_back(record);
+        if let Some(log) = &self.spool {
+            log.append(SPOOL, &frame(record.to_json().render()));
         }
-        let Some(spool) = &self.spool else { return };
-        if spool.degraded.load(Ordering::Relaxed) {
-            return;
+        let mut ring = lock_recover(&self.ring);
+        if ring.len() == self.ring_capacity {
+            ring.pop_front();
         }
-        let result = {
-            let mut file = lock_recover(&spool.file);
-            if obs::fail::should_error("spool-write-error") {
-                Err(io::Error::other("injected spool write error"))
-            } else {
-                write_line(&mut *file, &line).and_then(|()| {
-                    let bytes = spool
-                        .bytes
-                        .fetch_add(line.len() as u64 + 1, Ordering::Relaxed)
-                        + line.len() as u64
-                        + 1;
-                    if spool.max_bytes > 0 && bytes > spool.max_bytes {
-                        self.rotate(spool, &mut file)?;
-                    }
-                    Ok(())
-                })
-            }
-        };
-        if let Err(e) = result {
-            self.metrics
-                .spool_write_errors
-                .fetch_add(1, Ordering::Relaxed);
-            if !spool.degraded.swap(true, Ordering::Relaxed) {
-                self.metrics.spool_degraded.store(1, Ordering::Relaxed);
-                obs::warn(
-                    "sink",
-                    "spool_degraded",
-                    &[
-                        ("error", obs::Value::from(e.to_string())),
-                        ("path", obs::Value::from(spool.path.display().to_string())),
-                    ],
-                );
-            }
-        }
-    }
-
-    /// Rotate the spool: the current file becomes `incidents.jsonl.1`
-    /// (evicting the previous segment) and appends continue into a fresh
-    /// file. Called with the spool file lock held.
-    fn rotate(&self, spool: &Spool, file: &mut File) -> io::Result<()> {
-        file.sync_all()?;
-        let old = spool.path.with_extension("jsonl.1");
-        match fs::remove_file(&old) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e),
-        }
-        fs::rename(&spool.path, &old)?;
-        *file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&spool.path)?;
-        spool.bytes.store(0, Ordering::Relaxed);
-        self.metrics
-            .spool_rotations
-            .incidents
-            .fetch_add(1, Ordering::Relaxed);
-        obs::info(
-            "sink",
-            "spool_rotated",
-            &[("path", obs::Value::from(spool.path.display().to_string()))],
-        );
-        Ok(())
+        ring.push_back(record);
     }
 
     /// The most recent incidents, newest first, at most `limit`.
@@ -673,9 +455,20 @@ impl IncidentSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{crc32, unframe, LineVerdict};
+    use std::fs;
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
+    }
+
+    /// What the last [`IncidentSink::open`] on `m` found in its spool.
+    fn tallies(m: &Metrics) -> SpoolRecovery {
+        SpoolRecovery {
+            recovered: m.spool_recovered_lines.load(Ordering::Relaxed),
+            legacy: m.spool_legacy_lines.load(Ordering::Relaxed),
+            truncated_bytes: m.spool_truncated_bytes.load(Ordering::Relaxed),
+        }
     }
 
     fn record(tenant: &str, step: usize) -> IncidentRecord {
@@ -733,7 +526,7 @@ mod tests {
         assert_eq!(lines.len(), 2);
         for line in &lines {
             assert!(
-                matches!(judge_line(line), LineVerdict::Verified),
+                unframe(line).0 == LineVerdict::Verified,
                 "bad frame: {line}"
             );
         }
@@ -785,12 +578,14 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("incidents.jsonl");
         fs::write(&path, "").unwrap();
-        assert_eq!(repair_spool(&path).unwrap(), SpoolRecovery::default());
+        let m = metrics();
+        IncidentSink::open(Some(&dir), 8, 0, Arc::clone(&m)).unwrap();
+        assert_eq!(tallies(&m), SpoolRecovery::default());
         // missing file behaves the same
-        assert_eq!(
-            repair_spool(&dir.join("absent.jsonl")).unwrap(),
-            SpoolRecovery::default()
-        );
+        fs::remove_file(&path).unwrap();
+        let m = metrics();
+        IncidentSink::open(Some(&dir), 8, 0, Arc::clone(&m)).unwrap();
+        assert_eq!(tallies(&m), SpoolRecovery::default());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -823,9 +618,7 @@ mod tests {
         sink.record(record("t", 4));
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text.lines().count(), 3);
-        assert!(text
-            .lines()
-            .all(|l| matches!(judge_line(l), LineVerdict::Verified)));
+        assert!(text.lines().all(|l| unframe(l).0 == LineVerdict::Verified));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -882,8 +675,8 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         assert_eq!(lines[0], legacy1);
-        assert!(matches!(judge_line(lines[0]), LineVerdict::Legacy));
-        assert!(matches!(judge_line(lines[2]), LineVerdict::Verified));
+        assert!(unframe(lines[0]).0 == LineVerdict::Legacy);
+        assert!(unframe(lines[2]).0 == LineVerdict::Verified);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -893,8 +686,9 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         let path = dir.join("incidents.jsonl");
         // the write completed but the trailing newline was lost
-        let framed = frame_spool_line(&record("t", 7).to_json().render());
-        fs::write(&path, &framed).unwrap();
+        let framed = frame(record("t", 7).to_json().render());
+        let framed = framed.trim_end();
+        fs::write(&path, framed).unwrap();
         let m = metrics();
         let _sink = IncidentSink::open(Some(&dir), 8, 0, Arc::clone(&m)).unwrap();
         assert_eq!(m.spool_recovered_lines.load(Ordering::Relaxed), 1);
@@ -906,10 +700,38 @@ mod tests {
 
     #[test]
     fn ring_only_sink_never_degrades() {
-        let sink = IncidentSink::open(None, 4, 0, metrics()).unwrap();
+        let m = metrics();
+        let sink = IncidentSink::open(None, 4, 0, Arc::clone(&m)).unwrap();
         sink.record(record("t", 1));
-        assert!(!sink.is_degraded());
+        assert_eq!(m.spool_degraded.load(Ordering::Relaxed), 0);
         assert!(sink.spool_path().is_none());
+    }
+
+    #[test]
+    fn write_failure_degrades_to_ring_only() {
+        let dir = scratch("degraded");
+        let m = metrics();
+        // every record overflows the cap, and a non-empty directory in the
+        // `.jsonl.1` slot makes the rotation fail — a stand-in for a full
+        // or vanished volume
+        fs::create_dir_all(dir.join("incidents.jsonl.1/x")).unwrap();
+        let sink = IncidentSink::open(Some(&dir), 8, 64, Arc::clone(&m)).unwrap();
+        sink.record(record("t", 1));
+        assert_eq!(m.spool_write_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(m.spool_degraded.load(Ordering::Relaxed), 1);
+        let spooled = fs::read_to_string(sink.spool_path().unwrap()).unwrap();
+        sink.record(record("t", 2));
+        assert_eq!(sink.ring_len(), 2, "the ring keeps every incident");
+        assert_eq!(
+            m.spool_write_errors.load(Ordering::Relaxed),
+            1,
+            "a degraded sink stops touching the disk"
+        );
+        assert_eq!(
+            fs::read_to_string(sink.spool_path().unwrap()).unwrap(),
+            spooled
+        );
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -967,7 +789,7 @@ mod tests {
         assert_eq!(m.spool_rotations.incidents.load(Ordering::Relaxed), 2);
         // the live spool is empty again and still accepts appends
         assert_eq!(fs::read_to_string(sink.spool_path().unwrap()).unwrap(), "");
-        assert!(!sink.is_degraded());
+        assert_eq!(m.spool_degraded.load(Ordering::Relaxed), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1014,25 +836,29 @@ mod tests {
     #[test]
     fn judge_line_distinguishes_every_verdict() {
         // checksummed line → Verified
-        let framed = frame_spool_line(r#"{"tenant":"t"}"#);
-        assert_eq!(judge_line(&framed), LineVerdict::Verified);
+        let framed = frame(r#"{"tenant":"t"}"#.to_string());
+        let framed = framed.trim_end();
+        assert_eq!(
+            unframe(framed),
+            (LineVerdict::Verified, r#"{"tenant":"t"}"#)
+        );
         // bare JSON object (pre-CRC spool) → Legacy
-        assert_eq!(judge_line(r#"{"tenant":"t"}"#), LineVerdict::Legacy);
+        assert_eq!(unframe(r#"{"tenant":"t"}"#).0, LineVerdict::Legacy);
         // legacy JSON containing a literal tab in a string still judges
         // correctly: the suffix after the tab is not an 8-hex CRC
-        assert_eq!(judge_line("{\"note\":\"a\tb\"}"), LineVerdict::Legacy);
+        assert_eq!(unframe("{\"note\":\"a\tb\"}").0, LineVerdict::Legacy);
         // wrong checksum → Corrupt (not legacy: the tab suffix breaks parse)
-        let mut tampered = framed.clone();
+        let mut tampered = framed.to_string();
         tampered.replace_range(..1, " ");
-        assert_eq!(judge_line(&tampered), LineVerdict::Corrupt);
+        assert_eq!(unframe(&tampered).0, LineVerdict::Corrupt);
         // torn fragments and non-object JSON → Corrupt
-        assert_eq!(judge_line(r#"{"tenant":"t"#), LineVerdict::Corrupt);
-        assert_eq!(judge_line("[1,2,3]"), LineVerdict::Corrupt);
-        assert_eq!(judge_line(""), LineVerdict::Corrupt);
+        assert_eq!(unframe(r#"{"tenant":"t"#).0, LineVerdict::Corrupt);
+        assert_eq!(unframe("[1,2,3]").0, LineVerdict::Corrupt);
+        assert_eq!(unframe("").0, LineVerdict::Corrupt);
         // an 8-hex suffix guarding different bytes → Corrupt
         let (json, crc) = framed.rsplit_once('\t').unwrap();
         let mismatched = format!("{json} \t{crc}");
-        assert_eq!(judge_line(&mismatched), LineVerdict::Corrupt);
+        assert_eq!(unframe(&mismatched).0, LineVerdict::Corrupt);
     }
 
     #[test]

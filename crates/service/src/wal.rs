@@ -7,46 +7,43 @@
 //! the journal suffix past the last checkpoint's acknowledgment, so a
 //! `kill -9` loses nothing past admission.
 //!
-//! Journal lines use the same `{json}\t{crc32:08x}` framing as the
-//! incident spool, and the same torn-tail repair
-//! ([`crate::sink::repair_spool`]) runs over each segment at recovery —
-//! a crash mid-append costs at most the line being written, which is
-//! exactly the frame that was never acknowledged.
+//! The journal is a [`SegmentLog`] (see [`crate::segment`] for the
+//! framing, the torn-tail repair and the degraded latch): a crash
+//! mid-append costs at most the line being written, which is exactly the
+//! frame that was never acknowledged. An append reaches the page cache
+//! before the wire acknowledgment, which survives any *process* death
+//! (`kill -9`, OOM, panic) but not power loss; `--wal-fsync` adds a
+//! `sync_data` per append for machine-crash durability. The WAL never
+//! rotates: checkpoint compaction bounds it.
 //!
-//! By default an append is flushed (not fsynced) before the wire
-//! acknowledgment: the line is in the kernel page cache, which survives
-//! any *process* death (`kill -9`, OOM, panic) but not power loss or a
-//! kernel panic. Opening the WAL with `fsync` (`--wal-fsync`) upgrades
-//! the guarantee to machine-crash durability by `sync_data`ing every
-//! append, at a per-frame fsync cost.
-//!
-//! Two journals live here:
+//! Two journals share the directory:
 //!
 //! * `<tenant>.jsonl` — one [`WalEntry`] per admitted frame, compacted
 //!   after each checkpoint acknowledges a sequence watermark;
 //! * `schemas.jsonl` — an append-only journal of registered tenant
 //!   schemas, loaded before replay so replayed frames can be re-resolved
-//!   (the in-memory schema map dies with the process).
+//!   (the in-memory schema map dies with the process). A tenant named
+//!   `schemas` journals its frames into the same file; schema lines never
+//!   parse as a [`WalEntry`], so recovery reads frames from every segment.
 //!
-//! Like every sink in this crate, appends are infallible from the
-//! caller's perspective: a write failure latches the WAL into degraded
-//! (journal-less) mode — one warning event, `rapd_wal_append_errors_total`
-//! counted — rather than failing ingestion. Durability degrades; service
-//! does not.
+//! What is the WAL's own: the [`WalEntry`] encoding, the depth gauge, the
+//! compaction predicate and the schema journal. A write failure latches
+//! the WAL journal-less (`rapd_wal_append_errors_total`,
+//! `rapd_degraded{subsystem="wal"}`) rather than failing ingestion.
 
 use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::path::Path;
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
 use crate::metrics::Metrics;
-use crate::proto::write_line;
-use crate::quarantine::sanitize_tenant;
-use crate::sink::{frame_spool_line, repair_spool};
+use crate::segment::{frame, read_payloads, sanitize_tenant, segment_path, LogSpec, SegmentLog};
 use crate::sync::lock_recover;
+
+/// The schema journal's segment stem.
+const SCHEMAS: &str = "schemas";
 
 /// A journaled schema: the attribute parts (`(name, element names)`) a
 /// tenant registered, exactly as `Request::Schema` carries them.
@@ -134,23 +131,13 @@ impl WalEntry {
 /// The per-tenant frame journal under `<spool_dir>/wal/`.
 #[derive(Debug)]
 pub(crate) struct FrameWal {
-    dir: PathBuf,
-    /// Lazily opened per-tenant append handles, keyed by sanitized stem.
-    /// This lock is the segment lock: appends hold it across the write
-    /// and the depth bookkeeping, and compaction holds it across its
-    /// whole read–rewrite–rename, so an append lands wholly before or
-    /// wholly after a compaction — never inside one, where its line
-    /// would be discarded with the replaced inode.
-    files: Mutex<HashMap<String, File>>,
+    log: SegmentLog,
     /// Unacknowledged entries per stem; the sum is the `rapd_wal_depth`
-    /// gauge. Lock order: `files` before `depth`, always.
+    /// gauge. Appends and compactions take this lock before the segment
+    /// lock and hold it across their write, so a count can never
+    /// interleave with a compaction's recount.
     depth: Mutex<HashMap<String, u64>>,
     metrics: Arc<Metrics>,
-    /// `sync_data` every append (machine-crash durability) instead of
-    /// relying on the page cache (process-crash durability).
-    fsync: bool,
-    /// Latched on the first append error; the WAL then journals nothing.
-    degraded: AtomicBool,
 }
 
 impl FrameWal {
@@ -165,33 +152,26 @@ impl FrameWal {
     ///
     /// Fails when the directory cannot be created.
     pub fn open(spool_dir: &Path, metrics: Arc<Metrics>, fsync: bool) -> io::Result<Self> {
-        let dir = spool_dir.join("wal");
-        fs::create_dir_all(&dir)?;
+        let spec = LogSpec {
+            target: "rapd.wal",
+            degraded_event: "wal_degraded",
+            failpoint: "wal-append-error",
+            errors: |m| &m.wal_append_errors,
+            degraded: |m| &m.wal_degraded,
+            rotate: None,
+            fsync,
+        };
         Ok(FrameWal {
-            dir,
-            files: Mutex::new(HashMap::new()),
+            log: SegmentLog::open(spool_dir.join("wal"), spec, Arc::clone(&metrics))?,
             depth: Mutex::new(HashMap::new()),
             metrics,
-            fsync,
-            degraded: AtomicBool::new(false),
         })
     }
 
-    /// Whether an append error has latched the WAL into journal-less mode.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Journaled frames not yet acknowledged by a checkpoint, across all
-    /// tenants.
-    pub fn depth(&self) -> u64 {
-        lock_recover(&self.depth).values().sum()
-    }
-
-    fn publish_depth(&self) {
+    fn publish_depth(&self, depth: &HashMap<String, u64>) {
         self.metrics
             .wal_depth
-            .store(self.depth(), Ordering::Relaxed);
+            .store(depth.values().sum(), Ordering::Relaxed);
     }
 
     /// Append one admitted frame to its tenant's journal segment, flushed
@@ -199,55 +179,16 @@ impl FrameWal {
     /// still finds the frame on disk. Infallible: a write failure latches
     /// degraded mode instead of failing the ingest path.
     pub fn append(&self, entry: &WalEntry) {
-        if self.degraded.load(Ordering::Relaxed) {
+        if self.log.degraded() {
             return;
         }
-        let line = frame_spool_line(&entry.to_json().render());
+        let record = frame(entry.to_json().render());
         let stem = sanitize_tenant(&entry.tenant);
-        // Hold the segment lock across the write *and* the depth update:
-        // compact() holds it for its whole rewrite, so neither the line
-        // nor its depth increment can interleave with a compaction.
-        let mut files = lock_recover(&self.files);
-        let result = (|| {
-            let file = match files.entry(stem.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let path = self.dir.join(format!("{}.jsonl", e.key()));
-                    e.insert(OpenOptions::new().create(true).append(true).open(path)?)
-                }
-            };
-            if obs::fail::should_error("wal-append-error") {
-                return Err(io::Error::other("injected wal append error"));
-            }
-            write_line(file, &line)?;
-            if self.fsync {
-                file.sync_data()?;
-            }
-            Ok(())
-        })();
-        match result {
-            Ok(()) => {
-                self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
-                *lock_recover(&self.depth).entry(stem).or_insert(0) += 1;
-                drop(files);
-                self.publish_depth();
-            }
-            Err(e) => {
-                self.metrics
-                    .wal_append_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                self.metrics.wal_degraded.store(1, Ordering::Relaxed);
-                if !self.degraded.swap(true, Ordering::Relaxed) {
-                    obs::warn(
-                        "rapd.wal",
-                        "wal_degraded",
-                        &[
-                            ("error", obs::Value::Str(e.to_string())),
-                            ("dir", obs::Value::Str(self.dir.display().to_string())),
-                        ],
-                    );
-                }
-            }
+        let mut depth = lock_recover(&self.depth);
+        if self.log.append(&stem, &record) {
+            self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
+            *depth.entry(stem).or_insert(0) += 1;
+            self.publish_depth(&depth);
         }
     }
 
@@ -255,56 +196,29 @@ impl FrameWal {
     /// checkpoint now covers them. Entries carrying a *different*
     /// embedded tenant are always kept (the ack covers this tenant's
     /// pipeline, not theirs), so even a stem collision cannot discard a
-    /// neighbor's unacknowledged frames. The segment is rewritten
-    /// through a temp file, fsynced, and renamed into place, and the
-    /// segment lock is held across the whole read–rewrite–rename: a
-    /// concurrent observe-path append can land only before the read or
-    /// after the rename, never into the doomed inode.
+    /// neighbor's unacknowledged frames. The segment is rewritten under
+    /// the segment lock (see [`SegmentLog::scan`]), so a concurrent
+    /// observe-path append lands wholly before or after the rewrite.
     pub fn compact(&self, tenant: &str, ack_seq: u64) {
         let stem = sanitize_tenant(tenant);
-        let path = self.dir.join(format!("{stem}.jsonl"));
-        let mut files = lock_recover(&self.files);
-        let result = (|| -> io::Result<Option<u64>> {
-            let data = match fs::read_to_string(&path) {
-                Ok(data) => data,
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-                Err(e) => return Err(e),
-            };
-            let mut kept = String::with_capacity(data.len());
-            let mut kept_count = 0u64;
-            for line in data.lines() {
-                if let Some(entry) = parse_wal_line(line) {
-                    if entry.tenant == tenant && entry.seq <= ack_seq {
-                        continue;
-                    }
-                    kept_count += 1;
-                }
-                kept.push_str(line);
-                kept.push('\n');
+        let mut depth = lock_recover(&self.depth);
+        let mut kept = 0u64;
+        let result = self.log.scan(&stem, |payload| match parse_entry(payload) {
+            Some(e) if e.tenant == tenant && e.seq <= ack_seq => false,
+            Some(_) => {
+                kept += 1;
+                true
             }
-            if kept.len() == data.len() {
-                return Ok(Some(kept_count));
-            }
-            // Evict the cached append handle: after the rename it would
-            // still point at the replaced inode.
-            files.remove(&stem);
-            let tmp = path.with_extension("jsonl.compact");
-            {
-                let mut f = File::create(&tmp)?;
-                f.write_all(kept.as_bytes())?;
-                f.sync_all()?;
-            }
-            fs::rename(&tmp, &path)?;
-            self.metrics.wal_compactions.fetch_add(1, Ordering::Relaxed);
-            Ok(Some(kept_count))
-        })();
+            None => true,
+        });
         match result {
-            Ok(Some(kept_count)) => {
-                lock_recover(&self.depth).insert(stem, kept_count);
-                drop(files);
-                self.publish_depth();
+            Ok((_, rewritten)) => {
+                if rewritten {
+                    self.metrics.wal_compactions.fetch_add(1, Ordering::Relaxed);
+                }
+                depth.insert(stem, kept);
+                self.publish_depth(&depth);
             }
-            Ok(None) => {}
             Err(e) => obs::warn(
                 "rapd.wal",
                 "wal_compact_failed",
@@ -316,57 +230,32 @@ impl FrameWal {
         }
     }
 
-    /// Scan every journal segment, repair torn tails, and return the
-    /// surviving entries ordered by sequence number — the replay stream.
-    /// Unparseable (foreign-format) lines are skipped, never fatal: a
-    /// journal that cannot be fully read must still yield what it can.
+    /// Repair every journal segment and return the surviving entries
+    /// ordered by sequence number — the replay stream. Unparseable
+    /// (foreign-format) lines are skipped, never fatal: a journal that
+    /// cannot be fully read must still yield what it can.
     pub fn recover(&self) -> Vec<WalEntry> {
         let mut entries = Vec::new();
         let mut depths: HashMap<String, u64> = HashMap::new();
-        let Ok(listing) = fs::read_dir(&self.dir) else {
-            return entries;
-        };
-        for dirent in listing.flatten() {
-            let path = dirent.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            if !name.ends_with(".jsonl") || name == "schemas.jsonl" {
-                continue;
+        self.log.scan_all(|stem, payload| {
+            if let Some(entry) = parse_entry(payload) {
+                *depths.entry(stem.to_string()).or_insert(0) += 1;
+                entries.push(entry);
             }
-            let stem = name.trim_end_matches(".jsonl").to_string();
-            if let Err(e) = repair_spool(&path) {
-                obs::warn(
-                    "rapd.wal",
-                    "wal_segment_unreadable",
-                    &[
-                        ("path", obs::Value::Str(path.display().to_string())),
-                        ("error", obs::Value::Str(e.to_string())),
-                    ],
-                );
-                continue;
-            }
-            let Ok(data) = fs::read_to_string(&path) else {
-                continue;
-            };
-            let mut count = 0u64;
-            for line in data.lines() {
-                if let Some(entry) = parse_wal_line(line) {
-                    count += 1;
-                    entries.push(entry);
-                }
-            }
-            depths.insert(stem, count);
-        }
+            true
+        });
         entries.sort_by_key(|e| e.seq);
-        *lock_recover(&self.depth) = depths;
-        self.publish_depth();
+        let mut depth = lock_recover(&self.depth);
+        *depth = depths;
+        self.publish_depth(&depth);
         entries
     }
 
     /// Journal one tenant's registered schema so replay can re-resolve
     /// its frames after a restart. Append-only; duplicates are fine (the
-    /// last entry for a tenant wins at recovery).
+    /// last entry for a tenant wins at recovery). A failed write latches
+    /// the WAL degraded like a failed frame append: frames journaled
+    /// without their schema could not be replayed anyway.
     pub fn append_schema(&self, tenant: &str, parts: &[(String, Vec<String>)]) {
         let doc = Json::Obj(vec![
             ("tenant".to_string(), Json::str(tenant)),
@@ -385,49 +274,13 @@ impl FrameWal {
                 ),
             ),
         ]);
-        let line = frame_spool_line(&doc.render());
-        let path = self.dir.join("schemas.jsonl");
-        let result = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .and_then(|mut f| write_line(&mut f, &line));
-        if let Err(e) = result {
-            obs::warn(
-                "rapd.wal",
-                "schema_journal_failed",
-                &[
-                    ("tenant", obs::Value::Str(tenant.to_string())),
-                    ("error", obs::Value::Str(e.to_string())),
-                ],
-            );
-        }
+        self.log.append(SCHEMAS, &frame(doc.render()));
     }
 
     /// Load the schema journal: `(tenant, attribute parts)` with the last
     /// entry per tenant winning.
     pub fn recover_schemas(&self) -> Vec<(String, SchemaParts)> {
-        let path = self.dir.join("schemas.jsonl");
-        if repair_spool(&path).is_err() {
-            return Vec::new();
-        }
-        let Ok(data) = fs::read_to_string(&path) else {
-            return Vec::new();
-        };
-        let mut latest: Vec<(String, SchemaParts)> = Vec::new();
-        for line in data.lines() {
-            let Some(doc) = parse_framed(line) else {
-                continue;
-            };
-            let Some(parsed) = parse_schema_entry(&doc) else {
-                continue;
-            };
-            match latest.iter_mut().find(|(t, _)| *t == parsed.0) {
-                Some(slot) => slot.1 = parsed.1,
-                None => latest.push(parsed),
-            }
-        }
-        latest
+        read_schemas(&self.log.path(SCHEMAS))
     }
 }
 
@@ -436,21 +289,19 @@ impl FrameWal {
 /// caching. The fleet handoff protocol uses this to lift a tenant's WAL
 /// suffix out of a *live* worker's spool: the worker keeps appending for
 /// other tenants, so the reader must not rewrite its files. A torn tail
-/// (should the worker die mid-append during the copy) simply fails to
-/// parse and is skipped — exactly what the worker's own recovery would
+/// (should the worker die mid-append during the copy) simply fails its
+/// check and is skipped — exactly what the worker's own recovery would
 /// have discarded.
 pub fn read_tenant_suffix(spool_dir: &Path, tenant: &str, after_seq: u64) -> Vec<WalEntry> {
-    let path = spool_dir
-        .join("wal")
-        .join(format!("{}.jsonl", sanitize_tenant(tenant)));
-    let Ok(data) = fs::read_to_string(&path) else {
-        return Vec::new();
-    };
-    let mut entries: Vec<WalEntry> = data
-        .lines()
-        .filter_map(parse_wal_line)
-        .filter(|e| e.tenant == tenant && e.seq > after_seq)
-        .collect();
+    let mut entries = Vec::new();
+    let path = segment_path(&spool_dir.join("wal"), &sanitize_tenant(tenant));
+    read_payloads(&path, |payload| {
+        if let Some(e) = parse_entry(payload) {
+            if e.tenant == tenant && e.seq > after_seq {
+                entries.push(e);
+            }
+        }
+    });
     entries.sort_by_key(|e| e.seq);
     entries
 }
@@ -459,37 +310,32 @@ pub fn read_tenant_suffix(spool_dir: &Path, tenant: &str, after_seq: u64) -> Vec
 /// read-only (last entry wins). The handoff fallback when the router has
 /// not seen the tenant's schema line itself.
 pub fn read_schema_parts(spool_dir: &Path, tenant: &str) -> Option<SchemaParts> {
-    let path = spool_dir.join("wal").join("schemas.jsonl");
-    let data = fs::read_to_string(&path).ok()?;
-    let mut latest = None;
-    for line in data.lines() {
-        let Some(doc) = parse_framed(line) else {
-            continue;
+    read_schemas(&segment_path(&spool_dir.join("wal"), SCHEMAS))
+        .into_iter()
+        .find_map(|(t, parts)| (t == tenant).then_some(parts))
+}
+
+/// Every tenant's latest schema in the journal at `path`, in first-seen
+/// order, read-only.
+fn read_schemas(path: &Path) -> Vec<(String, SchemaParts)> {
+    let mut latest: Vec<(String, SchemaParts)> = Vec::new();
+    read_payloads(path, |payload| {
+        let Some(parsed) = crate::json::parse(payload)
+            .ok()
+            .and_then(|doc| parse_schema_entry(&doc))
+        else {
+            return;
         };
-        if let Some((t, parts)) = parse_schema_entry(&doc) {
-            if t == tenant {
-                latest = Some(parts);
-            }
+        match latest.iter_mut().find(|(t, _)| *t == parsed.0) {
+            Some(slot) => slot.1 = parsed.1,
+            None => latest.push(parsed),
         }
-    }
+    });
     latest
 }
 
-/// Strip the CRC framing (when present and valid) and parse the JSON.
-fn parse_framed(line: &str) -> Option<Json> {
-    use crate::sink::{judge_line, LineVerdict};
-    match judge_line(line) {
-        LineVerdict::Verified => {
-            let (json, _) = line.rsplit_once('\t')?;
-            crate::json::parse(json).ok()
-        }
-        LineVerdict::Legacy => crate::json::parse(line).ok(),
-        LineVerdict::Corrupt => None,
-    }
-}
-
-fn parse_wal_line(line: &str) -> Option<WalEntry> {
-    WalEntry::from_json(&parse_framed(line)?)
+fn parse_entry(payload: &str) -> Option<WalEntry> {
+    WalEntry::from_json(&crate::json::parse(payload).ok()?)
 }
 
 fn parse_schema_entry(doc: &Json) -> Option<(String, SchemaParts)> {
@@ -516,9 +362,17 @@ fn parse_schema_entry(doc: &Json) -> Option<(String, SchemaParts)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs;
+    use std::path::PathBuf;
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
+    }
+
+    /// Journaled frames not yet acknowledged by a checkpoint, across all
+    /// tenants.
+    fn depth(wal: &FrameWal) -> u64 {
+        lock_recover(&wal.depth).values().sum()
     }
 
     fn scratch(tag: &str) -> PathBuf {
@@ -556,9 +410,21 @@ mod tests {
 
     #[test]
     fn journal_line_bytes_are_pinned() {
-        // Escapes, integer-valued and fractional floats: the bytes every
-        // existing journal already holds, CRC suffix included.
-        let e = WalEntry {
+        // Every log's bytes exactly as its writer leaves them on disk, CRC
+        // suffix, newline and file name included: the bytes every existing
+        // journal, spool and checkpoint already holds. Escapes,
+        // integer-valued and fractional floats, NaN rows and traces.
+        use crate::checkpoint::{CheckpointStore, ConfigGuard, EngineCheckpoint, TenantCheckpoint};
+        use crate::quarantine::{QuarantineRecord, QuarantineSink};
+        use crate::sink::{DetectionRecord, IncidentRecord, IncidentSink};
+        use rapminer::{
+            AttrPower, CandidateTrace, LayerTrace, LocalizationTrace, SearchStats, TraceDetection,
+        };
+
+        let dir = scratch("pinned");
+        let m = metrics();
+        let wal = FrameWal::open(&dir, Arc::clone(&m), false).unwrap();
+        wal.append(&WalEntry {
             tenant: "edge \"eu\"\\1".to_string(),
             frame: "edge-0000002a-7".to_string(),
             seq: 42,
@@ -568,16 +434,180 @@ mod tests {
                 (vec!["L2".to_string(), "S2".to_string()], 0.25),
                 (vec!["L3".to_string(), "S\u{1}".to_string()], 12_345_678.5),
             ],
-        };
-        assert_eq!(
-            frame_spool_line(&e.to_json().render()),
-            concat!(
-                r#"{"tenant":"edge \"eu\"\\1","frame":"edge-0000002a-7","seq":42,"#,
-                r#""ts":1700000000000,"rows":[[["L1","S\té"],100],[["L2","S2"],0.25],"#,
-                r#"[["L3","S\u0001"],12345678.5]]}"#,
-                "\ta0358a9b"
-            )
+        });
+        wal.append_schema(
+            "edge",
+            &[
+                (
+                    "loc".to_string(),
+                    vec!["L1".to_string(), "L\"2".to_string()],
+                ),
+                ("svc".to_string(), vec!["S1".to_string()]),
+            ],
         );
+        let incidents = IncidentSink::open(Some(&dir), 4, 0, Arc::clone(&m)).unwrap();
+        incidents.record(IncidentRecord {
+            tenant: "edge".to_string(),
+            frame_id: Some("edge-00000003-7".to_string()),
+            step: 12,
+            total_deviation: -0.4,
+            anomalous_leaves: 2,
+            total_leaves: 8,
+            raps: vec![("(L1, *)".to_string(), 0.93)],
+            timings: pipeline::StageTimings {
+                detect_seconds: 0.001,
+                detector_seconds: 0.0005,
+                cp_seconds: 0.002,
+                search_seconds: 0.003,
+                localize_seconds: 0.006,
+            },
+            trace: Some(LocalizationTrace {
+                attrs: vec![AttrPower {
+                    attribute: "loc".to_string(),
+                    cp: 0.9,
+                    deleted: false,
+                }],
+                layers: vec![LayerTrace {
+                    layer: 1,
+                    cuboids: 1,
+                    combos: 2,
+                    candidates: 1,
+                }],
+                candidates: vec![CandidateTrace {
+                    combination: "(L1, *)".to_string(),
+                    confidence: 0.95,
+                    layer: 1,
+                    score: 0.93,
+                    kept: true,
+                }],
+                stats: SearchStats {
+                    attrs_deleted: 1,
+                    cuboids_visited: 1,
+                    combos_visited: 2,
+                    candidates_found: 1,
+                    early_stopped: true,
+                    cancelled: false,
+                },
+                cp_seconds: 0.004,
+                search_seconds: 0.005,
+                detection: Some(TraceDetection {
+                    severity: "high".to_string(),
+                    score: 4.4,
+                    leaf_scores: vec![("(L1, S1)".to_string(), 4.4)],
+                }),
+            }),
+            deadline_exceeded: false,
+            degraded_forecast: true,
+            severity: Some("high".to_string()),
+            detection: Some(DetectionRecord {
+                score: 4.4,
+                leaf_scores: vec![("(L1, S1)".to_string(), 4.4)],
+            }),
+        });
+        let quarantine = QuarantineSink::open(Some(&dir), 4, 0, Arc::clone(&m)).unwrap();
+        quarantine.record(QuarantineRecord {
+            tenant: "edge".to_string(),
+            frame_id: Some("edge-00000004-7".to_string()),
+            ts: Some(60_000),
+            reason: "non_finite",
+            detail: "row 0 is NaN".to_string(),
+            rows: vec![
+                (vec!["L1".to_string(), "S1".to_string()], f64::NAN),
+                (vec!["L2".to_string(), "S2".to_string()], 2.5),
+            ],
+        });
+        CheckpointStore::open(&dir, Arc::clone(&m))
+            .unwrap()
+            .write(&TenantCheckpoint {
+                tenant: "edge".to_string(),
+                ts_unix_ms: 1_754_700_001_000,
+                wal_ack: 7,
+                frame_seq: 8,
+                reorder_last_emitted: Some(60_000),
+                reorder_max_seen: 62_000,
+                breaker_failures: 1,
+                breaker_state: "closed".to_string(),
+                breaker_remaining_ms: 0,
+                guard: ConfigGuard {
+                    detect: false,
+                    seasonal_period: 0,
+                    residual_window: 0,
+                    window: 10,
+                },
+                engine: EngineCheckpoint::Classic(pipeline::ClassicSnapshot {
+                    steps: 3,
+                    total_history: vec![400.0, 0.1 + 0.2],
+                    history: vec![(
+                        vec![mdkpi::ElementId(0), mdkpi::ElementId(2)],
+                        vec![100.0, 99.9375],
+                    )],
+                }),
+            });
+        let pinned = [
+            (
+                "wal/edge__eu__1-c6f2d8f0.jsonl",
+                concat!(
+                    r#"{"tenant":"edge \"eu\"\\1","frame":"edge-0000002a-7","seq":42,"#,
+                    r#""ts":1700000000000,"rows":[[["L1","S\té"],100],[["L2","S2"],0.25],"#,
+                    r#"[["L3","S\u0001"],12345678.5]]}"#,
+                    "\ta0358a9b\n"
+                ),
+            ),
+            (
+                "wal/schemas.jsonl",
+                concat!(
+                    r#"{"tenant":"edge","attrs":[["loc",["L1","L\"2"]],["svc",["S1"]]]}"#,
+                    "\t956da092\n"
+                ),
+            ),
+            (
+                "incidents.jsonl",
+                concat!(
+                    r#"{"tenant":"edge","frame":"edge-00000003-7","step":12,"#,
+                    r#""total_deviation":-0.4,"anomalous_leaves":2,"total_leaves":8,"#,
+                    r#""raps":[["(L1, *)",0.93]],"timings":{"detect_seconds":0.001,"#,
+                    r#""detector_seconds":0.0005,"cp_seconds":0.002,"search_seconds":0.003,"#,
+                    r#""localize_seconds":0.006},"trace":{"attrs":[{"attribute":"loc","#,
+                    r#""cp":0.9,"deleted":false}],"layers":[{"layer":1,"cuboids":1,"#,
+                    r#""combos":2,"candidates":1}],"candidates":[{"combination":"(L1, *)","#,
+                    r#""confidence":0.95,"layer":1,"score":0.93,"kept":true}],"#,
+                    r#""stats":{"attrs_deleted":1,"cuboids_visited":1,"combos_visited":2,"#,
+                    r#""candidates_found":1,"early_stopped":true,"cancelled":false},"#,
+                    r#""cp_seconds":0.004,"search_seconds":0.005,"detection":{"#,
+                    r#""severity":"high","score":4.4,"leaf_scores":[["(L1, S1)",4.4]]}},"#,
+                    r#""deadline_exceeded":false,"degraded_forecast":true,"#,
+                    r#""severity":"high","detection":{"score":4.4,"#,
+                    r#""leaf_scores":[["(L1, S1)",4.4]]}}"#,
+                    "\t0732ab8d\n"
+                ),
+            ),
+            (
+                "quarantine/edge.jsonl",
+                concat!(
+                    r#"{"tenant":"edge","frame":"edge-00000004-7","ts":60000,"#,
+                    r#""reason":"non_finite","detail":"row 0 is NaN","#,
+                    r#""rows":[[["L1","S1"],null],[["L2","S2"],2.5]]}"#,
+                    "\t7e3b8acc\n"
+                ),
+            ),
+            (
+                "checkpoints/edge.json",
+                concat!(
+                    r#"{"v":1,"tenant":"edge","ts_unix_ms":1754700001000,"wal_ack":7,"#,
+                    r#""frame_seq":8,"reorder_last_emitted":60000,"reorder_max_seen":62000,"#,
+                    r#""breaker":{"failures":1,"state":"closed","remaining_ms":0},"#,
+                    r#""guard":{"detect":false,"seasonal_period":0,"residual_window":0,"#,
+                    r#""window":10},"engine":{"kind":"classic","steps":3,"#,
+                    r#""total_history":[400,0.30000000000000004],"#,
+                    r#""history":[[[0,2],[100,99.9375]]]}}"#,
+                    "\tb48e42dc\n"
+                ),
+            ),
+        ];
+        for (file, bytes) in pinned {
+            assert_eq!(fs::read_to_string(dir.join(file)).unwrap(), bytes, "{file}");
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -589,7 +619,7 @@ mod tests {
             wal.append(&entry("b", 2, None));
             wal.append(&entry("a", 1, Some(5)));
             wal.append(&entry("a", 3, Some(6)));
-            assert_eq!(wal.depth(), 3);
+            assert_eq!(depth(&wal), 3);
             assert_eq!(m.wal_appends.load(Ordering::Relaxed), 3);
         }
         // a fresh process opens the same directory
@@ -603,7 +633,7 @@ mod tests {
         assert_eq!(entries[0].tenant, "a");
         assert_eq!(entries[1].tenant, "b");
         assert_eq!(entries[0].rows.len(), 2);
-        assert_eq!(wal.depth(), 3, "recovery rebuilds the depth gauge");
+        assert_eq!(depth(&wal), 3, "recovery rebuilds the depth gauge");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -617,7 +647,7 @@ mod tests {
         }
         wal.compact("t", 3);
         assert_eq!(m.wal_compactions.load(Ordering::Relaxed), 1);
-        assert_eq!(wal.depth(), 1);
+        assert_eq!(depth(&wal), 1);
         // the evicted handle reopens the compacted segment transparently
         wal.append(&entry("t", 5, None));
         let entries = wal.recover();
@@ -629,7 +659,7 @@ mod tests {
         // acking everything leaves an empty but intact segment
         wal.compact("t", 5);
         assert_eq!(wal.recover().len(), 0);
-        assert_eq!(wal.depth(), 0);
+        assert_eq!(depth(&wal), 0);
         // a tenant with no segment is a no-op, not an error
         wal.compact("ghost", 10);
         fs::remove_dir_all(&dir).unwrap();
@@ -667,7 +697,7 @@ mod tests {
         // open fails — a stand-in for a full or vanished volume
         fs::create_dir_all(dir.join("wal/t.jsonl")).unwrap();
         wal.append(&entry("t", 1, None));
-        assert!(wal.is_degraded());
+        assert_eq!(m.wal_degraded.load(Ordering::Relaxed), 1);
         assert_eq!(m.wal_append_errors.load(Ordering::Relaxed), 1);
         assert_eq!(m.wal_appends.load(Ordering::Relaxed), 0);
         // further appends are silently skipped — service over durability
@@ -719,7 +749,7 @@ mod tests {
             (ACK + 1..=TOTAL).collect::<Vec<_>>(),
             "every unacknowledged append survives concurrent compaction"
         );
-        assert_eq!(wal.depth(), TOTAL - ACK, "depth matches the survivors");
+        assert_eq!(depth(&wal), TOTAL - ACK, "depth matches the survivors");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -737,8 +767,7 @@ mod tests {
             entry("y", 2, None),
             entry("x", 3, None),
         ] {
-            forged.push_str(&frame_spool_line(&e.to_json().render()));
-            forged.push('\n');
+            forged.push_str(&frame(e.to_json().render()));
         }
         fs::write(dir.join("wal/x.jsonl"), forged).unwrap();
         wal.compact("x", 10);
@@ -797,6 +826,32 @@ mod tests {
         assert_eq!(read_schema_parts(&dir, "ghost"), None);
         // a missing spool yields nothing, not an error
         assert!(read_tenant_suffix(Path::new("/nonexistent"), "t", 0).is_empty());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn tenant_named_schemas_replays_its_frames() {
+        // `schemas` is a safe stem, so this tenant's frames share
+        // `wal/schemas.jsonl` with the schema journal; recovery must still
+        // replay them.
+        let dir = scratch("schemas-tenant");
+        {
+            let wal = FrameWal::open(&dir, metrics(), false).unwrap();
+            wal.append_schema("schemas", &[("loc".to_string(), vec!["L1".to_string()])]);
+            wal.append(&entry("schemas", 1, None));
+            wal.append(&entry("edge", 2, None));
+        }
+        let wal = FrameWal::open(&dir, metrics(), false).unwrap();
+        assert_eq!(wal.recover_schemas().len(), 1);
+        let entries = wal.recover();
+        assert_eq!(
+            entries
+                .iter()
+                .map(|e| (e.tenant.as_str(), e.seq))
+                .collect::<Vec<_>>(),
+            [("schemas", 1), ("edge", 2)]
+        );
+        assert_eq!(depth(&wal), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -3,7 +3,7 @@
 //! quarantined pipelines, ring-only spool fallback, deadline-bounded
 //! localization behind a circuit breaker, respawned workers, and torn-tail
 //! spool recovery. Every scenario re-checks the accounting invariant
-//! `processed + dropped + shed == ingested`.
+//! `processed + dropped + shed + quarantined == ingested`.
 //!
 //! Requires `--features fail`; without it this file compiles to nothing.
 #![cfg(feature = "fail")]
@@ -147,9 +147,12 @@ fn touchy_config() -> ServiceConfig {
 
 fn assert_invariant(stats: &Json) {
     assert_eq!(
-        num(stats, "frames_processed") + num(stats, "frames_dropped") + num(stats, "frames_shed"),
+        num(stats, "frames_processed")
+            + num(stats, "frames_dropped")
+            + num(stats, "frames_shed")
+            + num(stats, "frames_quarantined"),
         num(stats, "frames_ingested"),
-        "processed + dropped + shed == ingested must hold: {stats:?}"
+        "processed + dropped + shed + quarantined == ingested must hold: {stats:?}"
     );
 }
 
@@ -274,53 +277,102 @@ fn pipeline_panic_dumps_a_recoverable_blackbox() {
 
 #[test]
 fn spool_write_error_degrades_to_ring_only() {
-    let _guard = serialized();
-    let spool_dir = std::env::temp_dir().join(format!("rapd-fault-spool-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&spool_dir);
-    let config = ServiceConfig {
-        spool_dir: Some(spool_dir.clone()),
-        ..touchy_config()
-    };
-    let server = service::start(config, service::default_factory()).expect("boot");
-    let mut client = Client::connect(server.ingest_addr());
-    client.register("t");
+    // Every durable log's failpoint: (failpoint, `health` subsystem name,
+    // `health` flag, the log's own degraded gauge, error counter, the file
+    // it would have written). The WAL exports no gauge of its own beside
+    // the `rapd_degraded` family.
+    let logs = [
+        (
+            "spool-write-error",
+            "incident_spool",
+            "spool_degraded",
+            "rapd_spool_degraded",
+            "rapd_spool_write_errors_total",
+            "incidents.jsonl",
+        ),
+        (
+            "quarantine-write-error",
+            "quarantine_spool",
+            "quarantine_degraded",
+            "rapd_quarantine_degraded",
+            "rapd_quarantine_write_errors_total",
+            "quarantine/t.jsonl",
+        ),
+        (
+            "wal-append-error",
+            "wal",
+            "wal_degraded",
+            "rapd_degraded{subsystem=\"wal\"}",
+            "rapd_wal_append_errors_total",
+            "wal/t.jsonl",
+        ),
+    ];
+    for (failpoint, subsystem, flag, gauge, errors, file) in logs {
+        let _guard = serialized();
+        let spool_dir =
+            std::env::temp_dir().join(format!("rapd-fault-{failpoint}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spool_dir);
+        let config = ServiceConfig {
+            spool_dir: Some(spool_dir.clone()),
+            ..touchy_config()
+        };
+        let server = service::start(config, service::default_factory()).expect("boot");
+        let mut client = Client::connect(server.ingest_addr());
+        client.register("t");
 
-    fail::cfg("spool-write-error", Action::Error);
-    for i in 0..5 {
-        client.observe("t", collapsing_value(i));
+        fail::cfg(failpoint, Action::Error);
+        // every log gets written more than once: alarming frames (WAL
+        // appends and incidents) and non-finite frames (quarantine)
+        for i in 0..5 {
+            client.observe("t", collapsing_value(i));
+            let reply = client.request(
+                r#"{"type":"observe","tenant":"t","rows":[[["L1","S1"],null],[["L1","S2"],1],[["L2","S1"],1],[["L2","S2"],1]]}"#,
+            );
+            assert_eq!(
+                reply.get("quarantined").and_then(Json::as_bool),
+                Some(true),
+                "{reply:?}"
+            );
+        }
+        client.flush();
+
+        // ingestion survived; only the failing log latched, and health
+        // and /metrics both name it
+        let health = client.health();
+        assert_eq!(
+            health.get("status").and_then(Json::as_str),
+            Some("degraded"),
+            "{failpoint}: {health:?}"
+        );
+        let latched: Vec<&str> = health
+            .get("degraded_subsystems")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(latched, [subsystem], "{failpoint}");
+        assert_eq!(health.get(flag).and_then(Json::as_bool), Some(true));
+        let metrics = http_get(server.metrics_addr(), "/metrics");
+        for other in ["incident_spool", "quarantine_spool", "wal"] {
+            let gauge = metric_value(&metrics, &format!("rapd_degraded{{subsystem=\"{other}\"}}"));
+            assert_eq!(gauge, f64::from(other == subsystem), "{failpoint}: {other}");
+        }
+        assert_eq!(metric_value(&metrics, gauge), 1.0, "{failpoint}");
+        // the latch stops the log at its first failed write: one error,
+        // and nothing reaches its file (opened before the write failed)
+        assert_eq!(metric_value(&metrics, errors), 1.0, "{failpoint}");
+        let written = std::fs::read_to_string(spool_dir.join(file))
+            .unwrap_or_else(|e| panic!("{failpoint}: {file} exists: {e}"));
+        assert!(written.is_empty(), "{failpoint} wrote {written:?}");
+        let incidents = client.request(r#"{"type":"incidents","limit":100}"#);
+        let ring = incidents.get("incidents").and_then(Json::as_arr).unwrap();
+        assert!(!ring.is_empty(), "the ring still collects incidents");
+        let stats = client.stats();
+        assert_invariant(&stats);
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&spool_dir);
     }
-    client.flush();
-
-    // ingestion survived: incidents landed in the ring, not the spool
-    let health = client.health();
-    assert_eq!(
-        health.get("status").and_then(Json::as_str),
-        Some("degraded"),
-        "{health:?}"
-    );
-    assert_eq!(
-        health.get("spool_degraded").and_then(Json::as_bool),
-        Some(true)
-    );
-    let incidents = client.request(r#"{"type":"incidents","limit":100}"#);
-    let ring_len = incidents
-        .get("incidents")
-        .and_then(Json::as_arr)
-        .unwrap()
-        .len();
-    assert!(ring_len >= 1, "ring must still collect incidents");
-    let spool_text =
-        std::fs::read_to_string(spool_dir.join("incidents.jsonl")).expect("spool file exists");
-    assert!(
-        spool_text.is_empty(),
-        "no line may reach a failing spool: {spool_text:?}"
-    );
-    let metrics = http_get(server.metrics_addr(), "/metrics");
-    assert_eq!(metric_value(&metrics, "rapd_spool_degraded"), 1.0);
-    assert!(metric_value(&metrics, "rapd_spool_write_errors_total") >= 1.0);
-    assert_invariant(&client.stats());
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&spool_dir);
 }
 
 #[test]
