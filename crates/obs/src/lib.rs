@@ -54,7 +54,7 @@ pub use span::{
     clear_spans, current_span_id, current_trace_id, enabled, micros_since_start, recent_spans,
     set_enabled, set_ring_capacity, span, SpanGuard, SpanRecord, DEFAULT_RING_CAPACITY,
 };
-pub use value::Value;
+pub use value::{write_json_string, Value};
 
 /// Convenience: time a closure under a named span and return its output.
 pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {

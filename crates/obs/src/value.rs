@@ -1,6 +1,6 @@
 //! Field values attached to spans and events.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A structured field value: the small scalar set every span/event field
 /// must fit into so records render losslessly as JSON.
@@ -122,20 +122,34 @@ impl From<String> for Value {
     }
 }
 
-/// Append `s` as a JSON string literal (with escapes) to `out`.
-pub(crate) fn write_json_string(s: &str, out: &mut String) {
+/// Append `s` as a JSON string literal to `out`. `"`, `\`, `\n`, `\r` and
+/// `\t` get their short escapes and other bytes below 0x20 become `\u00xx`;
+/// runs of bytes that need no escape are copied whole.
+#[inline]
+pub fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        // every byte that needs escaping is ASCII, so `run..i` is whole
+        // chars
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            // `fmt::Write` for `String` never fails
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -7,6 +7,8 @@
 
 use std::fmt::{self, Write as _};
 
+use obs::write_json_string;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -120,7 +122,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(*n, out),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -137,7 +139,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_string(k, out);
                     out.push(':');
                     v.write_to(out);
                 }
@@ -164,32 +166,6 @@ fn write_number(n: f64, out: &mut String) {
     } else {
         let _ = write!(out, "{n}");
     }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    let mut run = 0;
-    for (i, b) in s.bytes().enumerate() {
-        if b != b'"' && b != b'\\' && b >= 0x20 {
-            continue;
-        }
-        // every byte that needs escaping is ASCII, so `run..i` is whole
-        // chars
-        out.push_str(&s[run..i]);
-        match b {
-            b'"' => out.push_str("\\\""),
-            b'\\' => out.push_str("\\\\"),
-            b'\n' => out.push_str("\\n"),
-            b'\r' => out.push_str("\\r"),
-            b'\t' => out.push_str("\\t"),
-            _ => {
-                let _ = write!(out, "\\u{b:04x}");
-            }
-        }
-        run = i + 1;
-    }
-    out.push_str(&s[run..]);
-    out.push('"');
 }
 
 /// Parse one JSON document, requiring it to span the whole input.

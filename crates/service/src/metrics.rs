@@ -3,6 +3,12 @@
 //! Everything here is atomics so the hot ingest path never takes a lock to
 //! account for a frame. Rendering follows the Prometheus text exposition
 //! format 0.0.4 (the format every Prometheus scraper accepts).
+//!
+//! Each exported field declares its family (type, name and help text) in
+//! the row that defines it, and one renderer writes every family of
+//! [`Metrics`] and [`RouterMetrics`]. Families computed from other state
+//! (per-shard and per-worker series, build metadata, degraded latches)
+//! are listed by hand in each `render_prometheus`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,6 +22,165 @@ const LATENCY_BOUNDS: [f64; 9] = [0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.
 const ACK_BOUNDS: [f64; 11] = [
     0.00001, 0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.05, 0.25,
 ];
+
+// A family's Prometheus type, as written on its `# TYPE` line.
+const COUNTER: &str = "counter";
+const GAUGE: &str = "gauge";
+const HISTOGRAM: &str = "histogram";
+
+/// One metric family: its name, type, help text and series.
+struct Family<'a> {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    series: Vec<Series<'a>>,
+}
+
+/// One series: its label pairs and its reading.
+type Series<'a> = (Vec<(&'static str, String)>, Reading<'a>);
+
+/// What one series exports: a counter or gauge value, or a histogram
+/// rendered as its `_bucket`/`_sum`/`_count` lines.
+enum Reading<'a> {
+    Value(u64),
+    Histogram(&'a Histogram),
+}
+
+impl Reading<'_> {
+    /// A counter's or gauge's value; a histogram's observation count.
+    fn count(&self) -> u64 {
+        match self {
+            Reading::Value(v) => *v,
+            Reading::Histogram(h) => h.count(),
+        }
+    }
+}
+
+/// A single metric: one series' worth of state.
+trait Metric {
+    fn reading(&self) -> Reading<'_>;
+}
+
+impl Metric for AtomicU64 {
+    fn reading(&self) -> Reading<'_> {
+        Reading::Value(self.load(Ordering::Relaxed))
+    }
+}
+
+impl Metric for Histogram {
+    fn reading(&self) -> Reading<'_> {
+        Reading::Histogram(self)
+    }
+}
+
+/// A field that exports the series of one family.
+trait Export {
+    fn series(&self) -> Vec<Series<'_>>;
+}
+
+impl<M: Metric> Export for M {
+    fn series(&self) -> Vec<Series<'_>> {
+        vec![(Vec::new(), self.reading())]
+    }
+}
+
+/// One series per `(label value, reading)` pair, labelled `label`.
+fn labelled<'a, V: ToString>(
+    label: &'static str,
+    pairs: impl IntoIterator<Item = (V, Reading<'a>)>,
+) -> Vec<Series<'a>> {
+    pairs
+        .into_iter()
+        .map(|(value, reading)| (vec![(label, value.to_string())], reading))
+        .collect()
+}
+
+/// One series per slot of `slots`, labelled `label` with the slot index.
+fn per_slot<'a, T>(
+    label: &'static str,
+    slots: &'a [T],
+    read: fn(&T) -> &AtomicU64,
+) -> Vec<Series<'a>> {
+    labelled(
+        label,
+        slots
+            .iter()
+            .enumerate()
+            .map(|(i, s)| (i, read(s).reading())),
+    )
+}
+
+/// Declares a fixed label set: a struct with one metric per label value,
+/// exported as one family whose `$label` values are the field names, so
+/// its cardinality never grows with traffic, tenants, or severity.
+macro_rules! label_set {
+    ($(#[$doc:meta])* pub struct $name:ident($metric:ident) by $label:literal {
+        $($(#[$field_doc:meta])* $field:ident,)+
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Default)]
+        pub struct $name {
+            $($(#[$field_doc])* pub $field: $metric,)+
+        }
+
+        impl $name {
+            /// `(label, metric)` pairs in export order.
+            pub fn named(&self) -> [(&'static str, &$metric); [$(stringify!($field)),+].len()] {
+                [$((stringify!($field), &self.$field)),+]
+            }
+
+            /// The metric for one label value; `None` for unknown labels
+            /// (callers must not mint new label values).
+            pub fn for_label(&self, label: &str) -> Option<&$metric> {
+                self.named()
+                    .into_iter()
+                    .find(|(l, _)| *l == label)
+                    .map(|(_, m)| m)
+            }
+
+            /// Sum across all label values (of observation counts, for
+            /// histograms).
+            pub fn total(&self) -> u64 {
+                self.named().iter().map(|(_, m)| m.reading().count()).sum()
+            }
+        }
+
+        impl Export for $name {
+            fn series(&self) -> Vec<Series<'_>> {
+                labelled($label, self.named().map(|(l, m)| (l, m.reading())))
+            }
+        }
+    };
+}
+
+/// Declares a metrics struct whose exported fields each carry their
+/// family's type, name and help text (`field: Type => KIND "name" "help"`),
+/// with a `declared` method listing those families in field order. A field
+/// without a family is rendered by hand.
+macro_rules! families {
+    ($(#[$doc:meta])* pub struct $name:ident {
+        $($(#[$field_doc:meta])* $vis:vis $field:ident: $ty:ty
+            $(=> $kind:ident $family:literal $help:literal)?,)+
+    }) => {
+        $(#[$doc])*
+        #[derive(Debug, Default)]
+        pub struct $name {
+            $($(#[$field_doc])* $vis $field: $ty,)+
+        }
+
+        impl $name {
+            /// The families declared on the fields, in field order.
+            fn declared(&self) -> Vec<Family<'_>> {
+                vec![$($(Family {
+                    name: $family,
+                    kind: $kind,
+                    help: $help,
+                    series: self.$field.series(),
+                },)?)+]
+            }
+        }
+    };
+}
 
 /// Per-shard counters.
 #[derive(Debug, Default)]
@@ -110,347 +275,230 @@ impl Histogram {
     }
 }
 
-/// Per-stage localization timing histograms, exported as one
-/// `rapd_stage_seconds` family with a `stage` label. The localization
-/// stages (`cp`, `search`, `detect`) observe exactly once per incident, so
-/// their counts equal `rapd_alarms_total` — a scrape-time consistency
-/// invariant dashboards can assert on. The `detector` stage is the
-/// *streaming* detector and observes once per frame in detect mode, so its
-/// count tracks `rapd_frames_processed_total` instead.
-///
-/// The label set is fixed at these four values — labels never grow with
-/// traffic, tenants, or severity.
-#[derive(Debug, Default)]
-pub struct StageHistograms {
-    /// Algorithm 1: CP computation + redundant attribute deletion.
-    pub cp: Histogram,
-    /// Algorithm 2: top-down lattice search.
-    pub search: Histogram,
-    /// Per-leaf forecasting and anomaly labelling (inside localization).
-    pub detect: Histogram,
-    /// Streaming detector update + scoring, per frame (detect mode only).
-    pub detector: Histogram,
-}
-
-impl StageHistograms {
-    /// `(stage-label, histogram)` pairs in export order.
-    pub fn named(&self) -> [(&'static str, &Histogram); 4] {
-        [
-            ("cp", &self.cp),
-            ("search", &self.search),
-            ("detect", &self.detect),
-            ("detector", &self.detector),
-        ]
+label_set! {
+    /// Per-stage localization timing histograms, exported as one
+    /// `rapd_stage_seconds` family with a `stage` label. The localization
+    /// stages (`cp`, `search`, `detect`) observe exactly once per incident, so
+    /// their counts equal `rapd_alarms_total` — a scrape-time consistency
+    /// invariant dashboards can assert on. The `detector` stage is the
+    /// *streaming* detector and observes once per frame in detect mode, so its
+    /// count tracks `rapd_frames_processed_total` instead.
+    ///
+    /// The label set is fixed at these four values — labels never grow with
+    /// traffic, tenants, or severity.
+    pub struct StageHistograms(Histogram) by "stage" {
+        /// Algorithm 1: CP computation + redundant attribute deletion.
+        cp,
+        /// Algorithm 2: top-down lattice search.
+        search,
+        /// Per-leaf forecasting and anomaly labelling (inside localization).
+        detect,
+        /// Streaming detector update + scoring, per frame (detect mode only).
+        detector,
     }
 }
 
-/// Self-triggered detections by severity tier — exported as one
-/// `rapd_detections_total` family with a fixed `severity` label set
-/// (`warn`/`high`/`critical`; cardinality never grows).
-#[derive(Debug, Default)]
-pub struct DetectionCounters {
-    /// Detections in the 3–4σ tier.
-    pub warn: AtomicU64,
-    /// Detections in the 4–5σ tier.
-    pub high: AtomicU64,
-    /// Detections beyond 5σ.
-    pub critical: AtomicU64,
-}
-
-impl DetectionCounters {
-    /// `(severity-label, counter)` pairs in export order.
-    pub fn named(&self) -> [(&'static str, &AtomicU64); 3] {
-        [
-            ("warn", &self.warn),
-            ("high", &self.high),
-            ("critical", &self.critical),
-        ]
-    }
-
-    /// The counter for one severity label as produced by
-    /// `detect::Severity::as_str`; `None` for unknown labels (callers must
-    /// not mint new label values).
-    pub fn for_label(&self, severity: &str) -> Option<&AtomicU64> {
-        self.named()
-            .into_iter()
-            .find(|(label, _)| *label == severity)
-            .map(|(_, c)| c)
-    }
-
-    /// Sum across all severities.
-    pub fn total(&self) -> u64 {
-        self.named()
-            .iter()
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+label_set! {
+    /// Self-triggered detections by severity tier — exported as one
+    /// `rapd_detections_total` family with a fixed `severity` label set
+    /// (`warn`/`high`/`critical`; cardinality never grows). Labels are
+    /// those of `detect::Severity::as_str`.
+    pub struct DetectionCounters(AtomicU64) by "severity" {
+        /// Detections in the 3–4σ tier.
+        warn,
+        /// Detections in the 4–5σ tier.
+        high,
+        /// Detections beyond 5σ.
+        critical,
     }
 }
 
-/// Frames diverted to the quarantine spool, by reason — exported as one
-/// `rapd_frames_quarantined_total` family with a `reason` label.
-#[derive(Debug, Default)]
-pub struct QuarantineCounters {
-    /// A row value was NaN or ±infinity (the whole frame is quarantined —
-    /// partial admission would skew the tenant's history).
-    pub non_finite: AtomicU64,
-    /// Unknown attribute values exceeded the tenant's drift allowance.
-    pub schema_drift: AtomicU64,
-    /// The frame's timestamp was behind the reorder watermark.
-    pub late: AtomicU64,
-    /// A frame with the same (tenant, timestamp) was already accepted.
-    pub replay: AtomicU64,
-}
-
-impl QuarantineCounters {
-    /// `(reason-label, counter)` pairs in export order.
-    pub fn named(&self) -> [(&'static str, &AtomicU64); 4] {
-        [
-            ("non_finite", &self.non_finite),
-            ("schema_drift", &self.schema_drift),
-            ("late", &self.late),
-            ("replay", &self.replay),
-        ]
-    }
-
-    /// Sum across all reasons.
-    pub fn total(&self) -> u64 {
-        self.named()
-            .iter()
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+label_set! {
+    /// Frames diverted to the quarantine spool, by reason — exported as one
+    /// `rapd_frames_quarantined_total` family with a `reason` label.
+    pub struct QuarantineCounters(AtomicU64) by "reason" {
+        /// A row value was NaN or ±infinity (the whole frame is quarantined —
+        /// partial admission would skew the tenant's history).
+        non_finite,
+        /// Unknown attribute values exceeded the tenant's drift allowance.
+        schema_drift,
+        /// The frame's timestamp was behind the reorder watermark.
+        late,
+        /// A frame with the same (tenant, timestamp) was already accepted.
+        replay,
     }
 }
 
-/// Flight-recorder blackbox dumps written, by trigger — exported as one
-/// `rapd_blackbox_dumps_total` family with a fixed `trigger` label set
-/// (`panic`/`deadline`/`breaker_open`; cardinality never grows).
-#[derive(Debug, Default)]
-pub struct BlackboxCounters {
-    /// A tenant pipeline panicked inside a shard worker.
-    pub panic: AtomicU64,
-    /// A localization hit the configured deadline.
-    pub deadline: AtomicU64,
-    /// A tenant circuit breaker opened.
-    pub breaker_open: AtomicU64,
-}
-
-impl BlackboxCounters {
-    /// `(trigger-label, counter)` pairs in export order.
-    pub fn named(&self) -> [(&'static str, &AtomicU64); 3] {
-        [
-            ("panic", &self.panic),
-            ("deadline", &self.deadline),
-            ("breaker_open", &self.breaker_open),
-        ]
-    }
-
-    /// The counter for one trigger label; `None` for unknown labels
-    /// (callers must not mint new label values).
-    pub fn for_label(&self, trigger: &str) -> Option<&AtomicU64> {
-        self.named()
-            .into_iter()
-            .find(|(label, _)| *label == trigger)
-            .map(|(_, c)| c)
-    }
-
-    /// Sum across all triggers.
-    pub fn total(&self) -> u64 {
-        self.named()
-            .iter()
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+label_set! {
+    /// Flight-recorder blackbox dumps written, by trigger — exported as one
+    /// `rapd_blackbox_dumps_total` family with a fixed `trigger` label set
+    /// (`panic`/`deadline`/`breaker_open`; cardinality never grows).
+    pub struct BlackboxCounters(AtomicU64) by "trigger" {
+        /// A tenant pipeline panicked inside a shard worker.
+        panic,
+        /// A localization hit the configured deadline.
+        deadline,
+        /// A tenant circuit breaker opened.
+        breaker_open,
     }
 }
 
-/// Leaf rows repaired in place during admission, by reason — exported as
-/// one `rapd_leaves_repaired_total` family with a `reason` label.
-#[derive(Debug, Default)]
-pub struct RepairCounters {
-    /// Extra occurrences of a duplicated leaf collapsed keep-last.
-    pub duplicate: AtomicU64,
-    /// Negative values clamped to zero.
-    pub negative: AtomicU64,
-    /// Rows with an already-registered drifted attribute value stripped.
-    pub schema_drift: AtomicU64,
-}
-
-impl RepairCounters {
-    /// `(reason-label, counter)` pairs in export order.
-    pub fn named(&self) -> [(&'static str, &AtomicU64); 3] {
-        [
-            ("duplicate", &self.duplicate),
-            ("negative", &self.negative),
-            ("schema_drift", &self.schema_drift),
-        ]
-    }
-
-    /// Sum across all reasons.
-    pub fn total(&self) -> u64 {
-        self.named()
-            .iter()
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+label_set! {
+    /// Leaf rows repaired in place during admission, by reason — exported as
+    /// one `rapd_leaves_repaired_total` family with a `reason` label.
+    pub struct RepairCounters(AtomicU64) by "reason" {
+        /// Extra occurrences of a duplicated leaf collapsed keep-last.
+        duplicate,
+        /// Negative values clamped to zero.
+        negative,
+        /// Rows with an already-registered drifted attribute value stripped.
+        schema_drift,
     }
 }
 
-/// Spool segments rotated out by the size cap, by spool — exported as one
-/// `rapd_spool_rotations_total` family with a fixed `spool` label set
-/// (`incidents`/`quarantine`; cardinality never grows).
-#[derive(Debug, Default)]
-pub struct SpoolRotationCounters {
-    /// Incident spool rotations (`incidents.jsonl` → `.jsonl.1`).
-    pub incidents: AtomicU64,
-    /// Per-tenant quarantine spool rotations.
-    pub quarantine: AtomicU64,
-}
-
-impl SpoolRotationCounters {
-    /// `(spool-label, counter)` pairs in export order.
-    pub fn named(&self) -> [(&'static str, &AtomicU64); 2] {
-        [
-            ("incidents", &self.incidents),
-            ("quarantine", &self.quarantine),
-        ]
-    }
-
-    /// Sum across both spools.
-    pub fn total(&self) -> u64 {
-        self.named()
-            .iter()
-            .map(|(_, c)| c.load(Ordering::Relaxed))
-            .sum()
+label_set! {
+    /// Spool segments rotated out by the size cap, by spool — exported as one
+    /// `rapd_spool_rotations_total` family with a fixed `spool` label set
+    /// (`incidents`/`quarantine`; cardinality never grows).
+    pub struct SpoolRotationCounters(AtomicU64) by "spool" {
+        /// Incident spool rotations (`incidents.jsonl` → `.jsonl.1`).
+        incidents,
+        /// Per-tenant quarantine spool rotations.
+        quarantine,
     }
 }
 
-/// All counters the daemon exports.
-#[derive(Debug)]
-pub struct Metrics {
-    /// Frames accepted off the wire (before queueing).
-    pub frames_ingested: AtomicU64,
-    /// Alarms fired (incidents produced) across all tenants.
-    pub alarms: AtomicU64,
-    /// Request lines rejected by the protocol parser.
-    pub protocol_errors: AtomicU64,
-    /// Pipeline-level failures inside shard workers (localizer errors…).
-    pub pipeline_errors: AtomicU64,
-    /// Tenant pipelines quarantined (dropped and rebuilt) after a panic.
-    pub pipeline_restarts_panic: AtomicU64,
-    /// Shard worker threads respawned by the supervisor after dying.
-    pub worker_restarts: AtomicU64,
-    /// Incidents whose localization hit the configured deadline.
-    pub deadline_exceeded: AtomicU64,
-    /// Intact spool lines carried over at startup (CRC verified).
-    pub spool_recovered_lines: AtomicU64,
-    /// Pre-CRC spool lines accepted read-only at startup.
-    pub spool_legacy_lines: AtomicU64,
-    /// Torn/corrupt spool bytes truncated at startup.
-    pub spool_truncated_bytes: AtomicU64,
-    /// 1 while the sink runs ring-only after a spool write error (gauge).
-    pub spool_degraded: AtomicU64,
-    /// Spool write failures absorbed by degrading to ring-only mode.
-    pub spool_write_errors: AtomicU64,
-    /// Frames diverted to quarantine, by reason.
-    pub frames_quarantined: QuarantineCounters,
-    /// Leaf rows repaired in place at admission, by reason.
-    pub leaves_repaired: RepairCounters,
-    /// Quarantine spool write failures absorbed by degrading to ring-only.
-    pub quarantine_write_errors: AtomicU64,
-    /// 1 while the quarantine spool runs ring-only after a write error
-    /// (gauge).
-    pub quarantine_degraded: AtomicU64,
-    /// Latency of observe calls that triggered localization.
-    pub localization: Histogram,
-    /// Wire-ack latency of every observe: request dispatch to reply
-    /// construction (parse-to-ack, the ingest hot path a load generator
-    /// measures from outside).
-    pub ingest_ack: Histogram,
-    /// Ingest→incident latency: from the frame's correlation-ID mint at
-    /// the observe verb to its incident record hitting the sink, computed
-    /// from the [`obs::FrameId`] ingest timestamp.
-    pub e2e: Histogram,
-    /// Flight-recorder blackbox dumps written, by trigger.
-    pub blackbox_dumps: BlackboxCounters,
-    /// Per-stage timings of each triggered localization.
-    pub stages: StageHistograms,
-    /// Self-triggered detections, by severity tier (detect mode).
-    pub detections: DetectionCounters,
-    /// Admitted frames journaled to the write-ahead log.
-    pub wal_appends: AtomicU64,
-    /// WAL append failures absorbed by degrading to journal-less mode.
-    pub wal_append_errors: AtomicU64,
-    /// WAL segment compactions after checkpoint acknowledgment.
-    pub wal_compactions: AtomicU64,
-    /// Frames replayed from the WAL at startup (`rapd_replayed_frames_total`).
-    pub wal_replayed_frames: AtomicU64,
-    /// Journaled frames not yet acknowledged by a checkpoint (gauge).
-    pub wal_depth: AtomicU64,
-    /// Tenant checkpoints written (periodic or drain).
-    pub checkpoint_writes: AtomicU64,
-    /// Checkpoint write failures (the previous snapshot stays in place).
-    pub checkpoint_errors: AtomicU64,
-    /// Tenant states restored from a checkpoint at startup or respawn.
-    pub checkpoint_restores: AtomicU64,
-    /// Checkpoint snapshots rejected as corrupt or incompatible at load.
-    pub checkpoint_corrupt: AtomicU64,
-    /// Unix millis of the most recent successful checkpoint write (gauge).
-    pub checkpoint_last_unix_ms: AtomicU64,
-    /// Detectors cold-started because recovery found no usable checkpoint
-    /// (`rapd_detector_rewarms_total`).
-    pub detector_rewarms: AtomicU64,
-    /// Replayed incidents suppressed because the frame token was already
-    /// in the incident spool (exactly-once incident delivery).
-    pub incidents_deduped: AtomicU64,
-    /// Spool segments rotated out by the size cap, by spool.
-    pub spool_rotations: SpoolRotationCounters,
-    /// 1 while the WAL runs journal-less after an append error (gauge).
-    pub wal_degraded: AtomicU64,
-    shards: Vec<ShardMetrics>,
+families! {
+    /// All counters the daemon exports. Build it with [`Metrics::new`],
+    /// which sizes the per-shard counters and gives `ingest_ack` its
+    /// microsecond bucket grid.
+    pub struct Metrics {
+        /// Frames accepted off the wire (before queueing).
+        pub frames_ingested: AtomicU64 => COUNTER "rapd_frames_ingested_total"
+            "Frames accepted off the wire.",
+        /// Alarms fired (incidents produced) across all tenants.
+        pub alarms: AtomicU64 => COUNTER "rapd_alarms_total"
+            "Anomaly alarms fired (incidents produced).",
+        /// Request lines rejected by the protocol parser.
+        pub protocol_errors: AtomicU64 => COUNTER "rapd_protocol_errors_total"
+            "Request lines rejected by the protocol parser.",
+        /// Pipeline-level failures inside shard workers (localizer errors…).
+        pub pipeline_errors: AtomicU64 => COUNTER "rapd_pipeline_errors_total"
+            "Localization failures inside shard workers.",
+        /// Tenant pipelines quarantined (dropped and rebuilt) after a panic.
+        pub pipeline_restarts_panic: AtomicU64,
+        /// Shard worker threads respawned by the supervisor after dying.
+        pub worker_restarts: AtomicU64 => COUNTER "rapd_worker_restarts_total"
+            "Shard worker threads respawned by the supervisor.",
+        /// Incidents whose localization hit the configured deadline.
+        pub deadline_exceeded: AtomicU64 => COUNTER "rapd_deadline_exceeded_total"
+            "Incidents whose localization hit the configured deadline.",
+        /// Intact spool lines carried over at startup (CRC verified).
+        pub spool_recovered_lines: AtomicU64 => GAUGE "rapd_spool_recovered_lines"
+            "Intact spool lines carried over at startup.",
+        /// Pre-CRC spool lines accepted read-only at startup.
+        pub spool_legacy_lines: AtomicU64 => GAUGE "rapd_spool_legacy_lines"
+            "Pre-CRC spool lines accepted read-only at startup.",
+        /// Torn/corrupt spool bytes truncated at startup.
+        pub spool_truncated_bytes: AtomicU64 => GAUGE "rapd_spool_truncated_bytes"
+            "Torn or corrupt spool bytes truncated at startup.",
+        /// 1 while the sink runs ring-only after a spool write error (gauge).
+        pub spool_degraded: AtomicU64 => GAUGE "rapd_spool_degraded"
+            "1 while the incident sink runs ring-only after a spool write error.",
+        /// Spool write failures absorbed by degrading to ring-only mode.
+        pub spool_write_errors: AtomicU64 => COUNTER "rapd_spool_write_errors_total"
+            "Spool write failures absorbed by degrading to ring-only mode.",
+        /// Frames diverted to quarantine, by reason.
+        pub frames_quarantined: QuarantineCounters => COUNTER "rapd_frames_quarantined_total"
+            "Frames diverted to the quarantine spool, by reason.",
+        /// Leaf rows repaired in place at admission, by reason.
+        pub leaves_repaired: RepairCounters => COUNTER "rapd_leaves_repaired_total"
+            "Leaf rows repaired in place at admission, by reason.",
+        /// Quarantine spool write failures absorbed by degrading to ring-only.
+        pub quarantine_write_errors: AtomicU64 => COUNTER "rapd_quarantine_write_errors_total"
+            "Quarantine spool write failures absorbed by degrading to ring-only mode.",
+        /// 1 while the quarantine spool runs ring-only after a write error
+        /// (gauge).
+        pub quarantine_degraded: AtomicU64 => GAUGE "rapd_quarantine_degraded"
+            "1 while the quarantine spool runs ring-only after a write error.",
+        /// Latency of observe calls that triggered localization.
+        pub localization: Histogram => HISTOGRAM "rapd_localization_seconds"
+            "Latency of observe calls that localized an incident.",
+        /// Wire-ack latency of every observe: request dispatch to reply
+        /// construction (parse-to-ack, the ingest hot path a load generator
+        /// measures from outside).
+        pub ingest_ack: Histogram => HISTOGRAM "rapd_ingest_ack_seconds"
+            "Observe dispatch-to-ack latency (admission, WAL append, queue push).",
+        /// Ingest→incident latency: from the frame's correlation-ID mint at
+        /// the observe verb to its incident record hitting the sink, computed
+        /// from the [`obs::FrameId`] ingest timestamp.
+        pub e2e: Histogram => HISTOGRAM "rapd_e2e_seconds"
+            "Ingest-to-incident latency measured from the frame's correlation ID.",
+        /// Flight-recorder blackbox dumps written, by trigger.
+        pub blackbox_dumps: BlackboxCounters => COUNTER "rapd_blackbox_dumps_total"
+            "Flight-recorder blackbox dumps written, by trigger.",
+        /// Per-stage timings of each triggered localization.
+        pub stages: StageHistograms => HISTOGRAM "rapd_stage_seconds"
+            "Per-stage timing of each triggered localization.",
+        /// Self-triggered detections, by severity tier (detect mode).
+        pub detections: DetectionCounters => COUNTER "rapd_detections_total"
+            "Self-triggered detections, by severity tier.",
+        /// Admitted frames journaled to the write-ahead log.
+        pub wal_appends: AtomicU64 => COUNTER "rapd_wal_appends_total"
+            "Admitted frames journaled to the write-ahead log.",
+        /// WAL append failures absorbed by degrading to journal-less mode.
+        pub wal_append_errors: AtomicU64 => COUNTER "rapd_wal_append_errors_total"
+            "WAL append failures absorbed by degrading to journal-less mode.",
+        /// WAL segment compactions after checkpoint acknowledgment.
+        pub wal_compactions: AtomicU64 => COUNTER "rapd_wal_compactions_total"
+            "WAL segment compactions after checkpoint acknowledgment.",
+        /// Frames replayed from the WAL at startup (`rapd_replayed_frames_total`).
+        pub wal_replayed_frames: AtomicU64 => COUNTER "rapd_replayed_frames_total"
+            "Frames replayed from the write-ahead log at startup.",
+        /// Journaled frames not yet acknowledged by a checkpoint (gauge).
+        pub wal_depth: AtomicU64 => GAUGE "rapd_wal_depth"
+            "Journaled frames not yet acknowledged by a checkpoint.",
+        /// Tenant checkpoints written (periodic or drain).
+        pub checkpoint_writes: AtomicU64 => COUNTER "rapd_checkpoint_writes_total"
+            "Tenant checkpoints written (periodic or drain).",
+        /// Checkpoint write failures (the previous snapshot stays in place).
+        pub checkpoint_errors: AtomicU64 => COUNTER "rapd_checkpoint_errors_total"
+            "Checkpoint write failures; the previous snapshot stays in place.",
+        /// Tenant states restored from a checkpoint at startup or respawn.
+        pub checkpoint_restores: AtomicU64 => COUNTER "rapd_checkpoint_restores_total"
+            "Tenant states restored from a checkpoint.",
+        /// Checkpoint snapshots rejected as corrupt or incompatible at load.
+        pub checkpoint_corrupt: AtomicU64 => COUNTER "rapd_checkpoint_corrupt_total"
+            "Checkpoint snapshots rejected as corrupt or incompatible.",
+        /// Unix millis of the most recent successful checkpoint write (gauge).
+        pub checkpoint_last_unix_ms: AtomicU64 => GAUGE "rapd_checkpoint_last_unix_ms"
+            "Unix millis of the most recent successful checkpoint write.",
+        /// Detectors cold-started because recovery found no usable checkpoint
+        /// (`rapd_detector_rewarms_total`).
+        pub detector_rewarms: AtomicU64 => COUNTER "rapd_detector_rewarms_total"
+            "Detectors cold-started because recovery found no usable checkpoint.",
+        /// Replayed incidents suppressed because the frame token was already
+        /// in the incident spool (exactly-once incident delivery).
+        pub incidents_deduped: AtomicU64 => COUNTER "rapd_incidents_deduped_total"
+            "Replayed incidents suppressed by frame-token dedup.",
+        /// Spool segments rotated out by the size cap, by spool.
+        pub spool_rotations: SpoolRotationCounters => COUNTER "rapd_spool_rotations_total"
+            "Spool segments rotated out by the size cap, by spool.",
+        /// 1 while the WAL runs journal-less after an append error (gauge).
+        pub wal_degraded: AtomicU64,
+        shards: Vec<ShardMetrics>,
+    }
 }
 
 impl Metrics {
     /// Create the counter set for `shards` shard workers.
     pub fn new(shards: usize) -> Self {
         Metrics {
-            frames_ingested: AtomicU64::new(0),
-            alarms: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-            pipeline_errors: AtomicU64::new(0),
-            pipeline_restarts_panic: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            spool_recovered_lines: AtomicU64::new(0),
-            spool_legacy_lines: AtomicU64::new(0),
-            spool_truncated_bytes: AtomicU64::new(0),
-            spool_degraded: AtomicU64::new(0),
-            spool_write_errors: AtomicU64::new(0),
-            frames_quarantined: QuarantineCounters::default(),
-            leaves_repaired: RepairCounters::default(),
-            quarantine_write_errors: AtomicU64::new(0),
-            quarantine_degraded: AtomicU64::new(0),
-            localization: Histogram::default(),
             ingest_ack: Histogram::with_bounds(&ACK_BOUNDS),
-            e2e: Histogram::default(),
-            blackbox_dumps: BlackboxCounters::default(),
-            stages: StageHistograms::default(),
-            detections: DetectionCounters::default(),
-            wal_appends: AtomicU64::new(0),
-            wal_append_errors: AtomicU64::new(0),
-            wal_compactions: AtomicU64::new(0),
-            wal_replayed_frames: AtomicU64::new(0),
-            wal_depth: AtomicU64::new(0),
-            checkpoint_writes: AtomicU64::new(0),
-            checkpoint_errors: AtomicU64::new(0),
-            checkpoint_restores: AtomicU64::new(0),
-            checkpoint_corrupt: AtomicU64::new(0),
-            checkpoint_last_unix_ms: AtomicU64::new(0),
-            detector_rewarms: AtomicU64::new(0),
-            incidents_deduped: AtomicU64::new(0),
-            spool_rotations: SpoolRotationCounters::default(),
-            wal_degraded: AtomicU64::new(0),
             shards: (0..shards).map(|_| ShardMetrics::default()).collect(),
+            ..Metrics::default()
         }
     }
-
     /// The counters of one shard.
     pub fn shard(&self, i: usize) -> &ShardMetrics {
         &self.shards[i]
@@ -519,354 +567,105 @@ impl Metrics {
 
     /// Render every metric in the Prometheus text exposition format.
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        out.push_str(
-            "# HELP rapd_build_info Build metadata; the value is always 1.\n\
-             # TYPE rapd_build_info gauge\n",
-        );
-        out.push_str(&format!(
-            "rapd_build_info{} 1\n",
-            label_set(
-                &[("version", build_version()), ("commit", build_commit())],
-                None
-            )
-        ));
-        counter(
-            &mut out,
-            "rapd_frames_ingested_total",
-            "Frames accepted off the wire.",
-            self.frames_ingested.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_alarms_total",
-            "Anomaly alarms fired (incidents produced).",
-            self.alarms.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_protocol_errors_total",
-            "Request lines rejected by the protocol parser.",
-            self.protocol_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_pipeline_errors_total",
-            "Localization failures inside shard workers.",
-            self.pipeline_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_worker_restarts_total",
-            "Shard worker threads respawned by the supervisor.",
-            self.worker_restarts.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_deadline_exceeded_total",
-            "Incidents whose localization hit the configured deadline.",
-            self.deadline_exceeded.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_spool_recovered_lines",
-            "Intact spool lines carried over at startup.",
-            self.spool_recovered_lines.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_spool_legacy_lines",
-            "Pre-CRC spool lines accepted read-only at startup.",
-            self.spool_legacy_lines.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_spool_truncated_bytes",
-            "Torn or corrupt spool bytes truncated at startup.",
-            self.spool_truncated_bytes.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_spool_write_errors_total",
-            "Spool write failures absorbed by degrading to ring-only mode.",
-            self.spool_write_errors.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP rapd_spool_degraded 1 while the incident sink runs ring-only after a spool write error.\n",
-        );
-        out.push_str("# TYPE rapd_spool_degraded gauge\n");
-        out.push_str(&format!(
-            "rapd_spool_degraded {}\n",
-            self.spool_degraded.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP rapd_pipeline_restarts_total Tenant pipelines quarantined and rebuilt, by reason.\n",
-        );
-        out.push_str("# TYPE rapd_pipeline_restarts_total counter\n");
-        out.push_str(&format!(
-            "rapd_pipeline_restarts_total{{reason=\"panic\"}} {}\n",
-            self.pipeline_restarts_panic.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP rapd_frames_quarantined_total Frames diverted to the quarantine spool, by reason.\n",
-        );
-        out.push_str("# TYPE rapd_frames_quarantined_total counter\n");
-        for (reason, c) in self.frames_quarantined.named() {
-            out.push_str(&format!(
-                "rapd_frames_quarantined_total{{reason=\"{reason}\"}} {}\n",
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP rapd_leaves_repaired_total Leaf rows repaired in place at admission, by reason.\n",
-        );
-        out.push_str("# TYPE rapd_leaves_repaired_total counter\n");
-        for (reason, c) in self.leaves_repaired.named() {
-            out.push_str(&format!(
-                "rapd_leaves_repaired_total{{reason=\"{reason}\"}} {}\n",
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        counter(
-            &mut out,
-            "rapd_quarantine_write_errors_total",
-            "Quarantine spool write failures absorbed by degrading to ring-only mode.",
-            self.quarantine_write_errors.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP rapd_quarantine_degraded 1 while the quarantine spool runs ring-only after a write error.\n",
-        );
-        out.push_str("# TYPE rapd_quarantine_degraded gauge\n");
-        out.push_str(&format!(
-            "rapd_quarantine_degraded {}\n",
-            self.quarantine_degraded.load(Ordering::Relaxed)
-        ));
-        out.push_str(
-            "# HELP rapd_breaker_open_tenants Tenants currently behind an open circuit breaker.\n",
-        );
-        out.push_str("# TYPE rapd_breaker_open_tenants gauge\n");
-        out.push_str(&format!(
-            "rapd_breaker_open_tenants {}\n",
-            self.total_breaker_open()
-        ));
-
-        out.push_str(
-            "# HELP rapd_frames_dropped_total Frames dropped by backpressure, per shard.\n",
-        );
-        out.push_str("# TYPE rapd_frames_dropped_total counter\n");
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "rapd_frames_dropped_total{{shard=\"{i}\"}} {}\n",
-                s.dropped.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# HELP rapd_frames_processed_total Frames fully processed, per shard.\n");
-        out.push_str("# TYPE rapd_frames_processed_total counter\n");
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "rapd_frames_processed_total{{shard=\"{i}\"}} {}\n",
-                s.processed.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP rapd_frames_shed_total Frames shed by open circuit breakers, per shard.\n",
-        );
-        out.push_str("# TYPE rapd_frames_shed_total counter\n");
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "rapd_frames_shed_total{{shard=\"{i}\"}} {}\n",
-                s.shed.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str("# HELP rapd_queue_depth Frames currently queued, per shard.\n");
-        out.push_str("# TYPE rapd_queue_depth gauge\n");
-        for (i, s) in self.shards.iter().enumerate() {
-            out.push_str(&format!(
-                "rapd_queue_depth{{shard=\"{i}\"}} {}\n",
-                s.depth.load(Ordering::Relaxed)
-            ));
-        }
-
-        out.push_str(
-            "# HELP rapd_localization_seconds Latency of observe calls that localized an incident.\n",
-        );
-        out.push_str("# TYPE rapd_localization_seconds histogram\n");
-        render_histogram(
-            &mut out,
-            "rapd_localization_seconds",
-            &[],
-            &self.localization,
-        );
-
-        out.push_str(
-            "# HELP rapd_ingest_ack_seconds Observe dispatch-to-ack latency (admission, WAL append, queue push).\n",
-        );
-        out.push_str("# TYPE rapd_ingest_ack_seconds histogram\n");
-        render_histogram(&mut out, "rapd_ingest_ack_seconds", &[], &self.ingest_ack);
-
-        out.push_str(
-            "# HELP rapd_e2e_seconds Ingest-to-incident latency measured from the frame's correlation ID.\n",
-        );
-        out.push_str("# TYPE rapd_e2e_seconds histogram\n");
-        render_histogram(&mut out, "rapd_e2e_seconds", &[], &self.e2e);
-
-        out.push_str(
-            "# HELP rapd_stage_seconds Per-stage timing of each triggered localization.\n",
-        );
-        out.push_str("# TYPE rapd_stage_seconds histogram\n");
-        for (stage, histogram) in self.stages.named() {
-            render_histogram(
-                &mut out,
-                "rapd_stage_seconds",
-                &[("stage", stage)],
-                histogram,
-            );
-        }
-
-        out.push_str("# HELP rapd_detections_total Self-triggered detections, by severity tier.\n");
-        out.push_str("# TYPE rapd_detections_total counter\n");
-        for (severity, c) in self.detections.named() {
-            out.push_str(&format!(
-                "rapd_detections_total{{severity=\"{severity}\"}} {}\n",
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP rapd_blackbox_dumps_total Flight-recorder blackbox dumps written, by trigger.\n",
-        );
-        out.push_str("# TYPE rapd_blackbox_dumps_total counter\n");
-        for (trigger, c) in self.blackbox_dumps.named() {
-            out.push_str(&format!(
-                "rapd_blackbox_dumps_total{{trigger=\"{trigger}\"}} {}\n",
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        counter(
-            &mut out,
-            "rapd_wal_appends_total",
-            "Admitted frames journaled to the write-ahead log.",
-            self.wal_appends.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_wal_append_errors_total",
-            "WAL append failures absorbed by degrading to journal-less mode.",
-            self.wal_append_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_wal_compactions_total",
-            "WAL segment compactions after checkpoint acknowledgment.",
-            self.wal_compactions.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_replayed_frames_total",
-            "Frames replayed from the write-ahead log at startup.",
-            self.wal_replayed_frames.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP rapd_wal_depth Journaled frames not yet acknowledged by a checkpoint.\n",
-        );
-        out.push_str("# TYPE rapd_wal_depth gauge\n");
-        out.push_str(&format!(
-            "rapd_wal_depth {}\n",
-            self.wal_depth.load(Ordering::Relaxed)
-        ));
-        counter(
-            &mut out,
-            "rapd_checkpoint_writes_total",
-            "Tenant checkpoints written (periodic or drain).",
-            self.checkpoint_writes.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_checkpoint_errors_total",
-            "Checkpoint write failures; the previous snapshot stays in place.",
-            self.checkpoint_errors.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_checkpoint_restores_total",
-            "Tenant states restored from a checkpoint.",
-            self.checkpoint_restores.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_checkpoint_corrupt_total",
-            "Checkpoint snapshots rejected as corrupt or incompatible.",
-            self.checkpoint_corrupt.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP rapd_checkpoint_last_unix_ms Unix millis of the most recent successful checkpoint write.\n",
-        );
-        out.push_str("# TYPE rapd_checkpoint_last_unix_ms gauge\n");
-        out.push_str(&format!(
-            "rapd_checkpoint_last_unix_ms {}\n",
-            self.checkpoint_last_unix_ms.load(Ordering::Relaxed)
-        ));
-        counter(
-            &mut out,
-            "rapd_detector_rewarms_total",
-            "Detectors cold-started because recovery found no usable checkpoint.",
-            self.detector_rewarms.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_incidents_deduped_total",
-            "Replayed incidents suppressed by frame-token dedup.",
-            self.incidents_deduped.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP rapd_spool_rotations_total Spool segments rotated out by the size cap, by spool.\n",
-        );
-        out.push_str("# TYPE rapd_spool_rotations_total counter\n");
-        for (spool, c) in self.spool_rotations.named() {
-            out.push_str(&format!(
-                "rapd_spool_rotations_total{{spool=\"{spool}\"}} {}\n",
-                c.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP rapd_degraded 1 while a subsystem runs in its lossy fallback mode after a write error.\n",
-        );
-        out.push_str("# TYPE rapd_degraded gauge\n");
-        for (subsystem, v) in self.degraded_subsystems() {
-            out.push_str(&format!("rapd_degraded{{subsystem=\"{subsystem}\"}} {v}\n"));
-        }
-        out
+        let computed = [
+            Family {
+                name: "rapd_build_info",
+                kind: GAUGE,
+                help: "Build metadata; the value is always 1.",
+                series: vec![(
+                    vec![
+                        ("version", build_version().to_string()),
+                        ("commit", build_commit().to_string()),
+                    ],
+                    Reading::Value(1),
+                )],
+            },
+            Family {
+                name: "rapd_pipeline_restarts_total",
+                kind: COUNTER,
+                help: "Tenant pipelines quarantined and rebuilt, by reason.",
+                series: labelled(
+                    "reason",
+                    [("panic", self.pipeline_restarts_panic.reading())],
+                ),
+            },
+            Family {
+                name: "rapd_breaker_open_tenants",
+                kind: GAUGE,
+                help: "Tenants currently behind an open circuit breaker.",
+                series: vec![(Vec::new(), Reading::Value(self.total_breaker_open()))],
+            },
+            Family {
+                name: "rapd_frames_dropped_total",
+                kind: COUNTER,
+                help: "Frames dropped by backpressure, per shard.",
+                series: per_slot("shard", &self.shards, |s| &s.dropped),
+            },
+            Family {
+                name: "rapd_frames_processed_total",
+                kind: COUNTER,
+                help: "Frames fully processed, per shard.",
+                series: per_slot("shard", &self.shards, |s| &s.processed),
+            },
+            Family {
+                name: "rapd_frames_shed_total",
+                kind: COUNTER,
+                help: "Frames shed by open circuit breakers, per shard.",
+                series: per_slot("shard", &self.shards, |s| &s.shed),
+            },
+            Family {
+                name: "rapd_queue_depth",
+                kind: GAUGE,
+                help: "Frames currently queued, per shard.",
+                series: per_slot("shard", &self.shards, |s| &s.depth),
+            },
+            Family {
+                name: "rapd_degraded",
+                kind: GAUGE,
+                help: "1 while a subsystem runs in its lossy fallback mode after a write error.",
+                series: labelled(
+                    "subsystem",
+                    self.degraded_subsystems()
+                        .map(|(subsystem, v)| (subsystem, Reading::Value(v))),
+                ),
+            },
+        ];
+        render(computed.into_iter().chain(self.declared()))
     }
 }
 
-/// Counters the fleet router exports on its own `/metrics` endpoint.
-/// Separate from [`Metrics`]: the router process runs no shard pool, no
-/// sinks, and no WAL — its vocabulary is forwarding, parking, shedding,
-/// worker liveness, and handoffs.
-#[derive(Debug)]
-pub struct RouterMetrics {
-    /// Observe/schema lines forwarded to a worker and acknowledged.
-    pub frames_forwarded: AtomicU64,
-    /// Frames currently parked waiting for a worker (gauge).
-    pub parked_frames: AtomicU64,
-    /// Frames ever parked while their worker was down or unreachable.
-    pub parked_total: AtomicU64,
-    /// Frames shed because a down worker's park buffer was full. Each one
-    /// was refused on the wire (an error reply, never a false ack).
-    pub shed_total: AtomicU64,
-    /// Completed live shard handoffs.
-    pub handoffs: AtomicU64,
-    /// WAL-suffix frames replayed onto the target during handoffs.
-    pub handoff_replayed: AtomicU64,
-    /// Request lines the router itself rejected.
-    pub protocol_errors: AtomicU64,
-    /// Per-worker liveness (1 = connected and announced) and respawn
-    /// counts, indexed by worker slot.
-    workers: Vec<RouterWorkerMetrics>,
+families! {
+    /// Counters the fleet router exports on its own `/metrics` endpoint.
+    /// Separate from [`Metrics`]: the router process runs no shard pool, no
+    /// sinks, and no WAL — its vocabulary is forwarding, parking, shedding,
+    /// worker liveness, and handoffs.
+    pub struct RouterMetrics {
+        /// Observe/schema lines forwarded to a worker and acknowledged.
+        pub frames_forwarded: AtomicU64 => COUNTER "rapd_router_frames_forwarded_total"
+            "Lines forwarded to a worker and acknowledged.",
+        /// Frames currently parked waiting for a worker (gauge).
+        pub parked_frames: AtomicU64 => GAUGE "rapd_router_parked_frames"
+            "Frames currently parked waiting for a worker.",
+        /// Frames ever parked while their worker was down or unreachable.
+        pub parked_total: AtomicU64 => COUNTER "rapd_router_parked_total"
+            "Frames ever parked while their worker was down.",
+        /// Frames shed because a down worker's park buffer was full. Each one
+        /// was refused on the wire (an error reply, never a false ack).
+        pub shed_total: AtomicU64 => COUNTER "rapd_router_shed_total"
+            "Frames refused because a down worker's park buffer was full.",
+        /// Completed live shard handoffs.
+        pub handoffs: AtomicU64 => COUNTER "rapd_router_handoffs_total"
+            "Completed live shard handoffs.",
+        /// WAL-suffix frames replayed onto the target during handoffs.
+        pub handoff_replayed: AtomicU64 => COUNTER "rapd_router_handoff_replayed_total"
+            "WAL-suffix frames replayed onto the target during handoffs.",
+        /// Request lines the router itself rejected.
+        pub protocol_errors: AtomicU64 => COUNTER "rapd_router_protocol_errors_total"
+            "Request lines the router rejected.",
+        /// Per-worker liveness (1 = connected and announced) and respawn
+        /// counts, indexed by worker slot.
+        workers: Vec<RouterWorkerMetrics>,
+    }
 }
 
 /// Per-worker-slot router counters.
@@ -882,16 +681,10 @@ impl RouterMetrics {
     /// Create the counter set for `workers` supervised worker slots.
     pub fn new(workers: usize) -> Self {
         RouterMetrics {
-            frames_forwarded: AtomicU64::new(0),
-            parked_frames: AtomicU64::new(0),
-            parked_total: AtomicU64::new(0),
-            shed_total: AtomicU64::new(0),
-            handoffs: AtomicU64::new(0),
-            handoff_replayed: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
             workers: (0..workers)
                 .map(|_| RouterWorkerMetrics::default())
                 .collect(),
+            ..RouterMetrics::default()
         }
     }
 
@@ -902,76 +695,41 @@ impl RouterMetrics {
 
     /// Render the router's exposition (Prometheus text format 0.0.4).
     pub fn render_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        counter(
-            &mut out,
-            "rapd_router_frames_forwarded_total",
-            "Lines forwarded to a worker and acknowledged.",
-            self.frames_forwarded.load(Ordering::Relaxed),
-        );
-        out.push_str(
-            "# HELP rapd_router_parked_frames Frames currently parked waiting for a worker.\n",
-        );
-        out.push_str("# TYPE rapd_router_parked_frames gauge\n");
-        out.push_str(&format!(
-            "rapd_router_parked_frames {}\n",
-            self.parked_frames.load(Ordering::Relaxed)
-        ));
-        counter(
-            &mut out,
-            "rapd_router_parked_total",
-            "Frames ever parked while their worker was down.",
-            self.parked_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_router_shed_total",
-            "Frames refused because a down worker's park buffer was full.",
-            self.shed_total.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_router_handoffs_total",
-            "Completed live shard handoffs.",
-            self.handoffs.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_router_handoff_replayed_total",
-            "WAL-suffix frames replayed onto the target during handoffs.",
-            self.handoff_replayed.load(Ordering::Relaxed),
-        );
-        counter(
-            &mut out,
-            "rapd_router_protocol_errors_total",
-            "Request lines the router rejected.",
-            self.protocol_errors.load(Ordering::Relaxed),
-        );
-        out.push_str("# HELP rapd_router_worker_up 1 while the worker is up and announced.\n");
-        out.push_str("# TYPE rapd_router_worker_up gauge\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "rapd_router_worker_up{{worker=\"{i}\"}} {}\n",
-                w.up.load(Ordering::Relaxed)
-            ));
-        }
-        out.push_str(
-            "# HELP rapd_router_worker_respawns_total Times the supervisor respawned the worker slot.\n",
-        );
-        out.push_str("# TYPE rapd_router_worker_respawns_total counter\n");
-        for (i, w) in self.workers.iter().enumerate() {
-            out.push_str(&format!(
-                "rapd_router_worker_respawns_total{{worker=\"{i}\"}} {}\n",
-                w.respawns.load(Ordering::Relaxed)
-            ));
-        }
-        out
+        let computed = [
+            Family {
+                name: "rapd_router_worker_up",
+                kind: GAUGE,
+                help: "1 while the worker is up and announced.",
+                series: per_slot("worker", &self.workers, |w| &w.up),
+            },
+            Family {
+                name: "rapd_router_worker_respawns_total",
+                kind: COUNTER,
+                help: "Times the supervisor respawned the worker slot.",
+                series: per_slot("worker", &self.workers, |w| &w.respawns),
+            },
+        ];
+        render(self.declared().into_iter().chain(computed))
     }
+}
+
+/// Render families in the Prometheus text exposition format: each family's
+/// `# HELP` and `# TYPE` lines, then its series.
+fn render<'a>(families: impl IntoIterator<Item = Family<'a>>) -> String {
+    let mut out = String::new();
+    for family in families {
+        let (name, kind, help) = (family.name, family.kind, family.help);
+        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        for (labels, reading) in family.series {
+            match reading {
+                Reading::Value(v) => {
+                    out.push_str(&format!("{name}{} {v}\n", label_set(&labels, None)));
+                }
+                Reading::Histogram(h) => render_histogram(&mut out, name, &labels, h),
+            }
+        }
+    }
+    out
 }
 
 /// The crate version exported in `rapd_build_info` and the `stats` and
@@ -1002,10 +760,10 @@ pub(crate) fn escape_label_value(value: &str) -> String {
 }
 
 /// Render `{a="x",b="y",le="bound"}` with escaped values.
-fn label_set(labels: &[(&str, &str)], le: Option<&str>) -> String {
+fn label_set(labels: &[(&str, impl AsRef<str>)], le: Option<&str>) -> String {
     let mut parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v)))
+        .map(|(k, v)| format!("{k}=\"{}\"", escape_label_value(v.as_ref())))
         .collect();
     if let Some(le) = le {
         parts.push(format!("le=\"{le}\""));
@@ -1019,7 +777,7 @@ fn label_set(labels: &[(&str, &str)], le: Option<&str>) -> String {
 
 /// Render one histogram's `_bucket`/`_sum`/`_count` lines (cumulative
 /// buckets computed here, per the exposition format).
-fn render_histogram(out: &mut String, name: &str, labels: &[(&str, &str)], h: &Histogram) {
+fn render_histogram(out: &mut String, name: &str, labels: &[(&str, String)], h: &Histogram) {
     let cumulative = h.cumulative();
     for (bound, cum) in h.bounds.iter().zip(&cumulative) {
         let bound = bound.to_string();

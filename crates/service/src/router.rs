@@ -514,7 +514,10 @@ impl Router {
 type RequestResult<T = String> = Result<T, String>;
 
 /// Connect to a worker and complete the hello handshake, under a capped
-/// jittered backoff bounded by the request deadline.
+/// jittered backoff bounded by the request deadline. A refused connect
+/// fails at once: the worker's listener is gone, so the caller parks the
+/// frame instead of holding the worker's lane until the deadline, and the
+/// pump redelivers it once the replacement worker announces itself.
 fn connect_handshake(
     addr: &str,
     worker: usize,
@@ -534,7 +537,7 @@ fn connect_handshake(
             Ok(stream) => break stream,
             Err(e) => {
                 let delay = backoff.next_delay();
-                if Instant::now() + delay >= until {
+                if e.kind() == io::ErrorKind::ConnectionRefused || Instant::now() + delay >= until {
                     return Err(format!("worker {worker} connect failed: {e}"));
                 }
                 std::thread::sleep(delay);
@@ -1111,6 +1114,28 @@ fn render_observe(entry: &wal::WalEntry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_refused_connect_fails_without_waiting_out_the_deadline() {
+        let addr = TcpListener::bind("127.0.0.1:0")
+            .and_then(|l| l.local_addr())
+            .expect("reserve a port")
+            .to_string();
+        // the listener is dropped, so connecting to its port is refused
+        let start = Instant::now();
+        let result = connect_handshake(
+            &addr,
+            0,
+            start + Duration::from_secs(5),
+            &AtomicBool::new(false),
+        );
+        assert!(result.is_err(), "nothing listens on {addr}");
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "a refused connect held the lane for {:?}",
+            start.elapsed()
+        );
+    }
 
     #[test]
     fn the_ring_is_deterministic_and_total() {

@@ -195,8 +195,8 @@ step 10 "localize determinism" determinism_gate
 step 11 "localize bench gate" cargo run --release --offline -p rapminer-bench --bin bench_localize
 step 12 "detection gate" detection_gate
 step 13 "introspection gate" cargo test -p service --offline -q --test introspection
-step 14 "crash-recovery gate" cargo test -p rapminer-suite --offline -q --test crash_recovery
-step 15 "fleet-torture gate" cargo test -p rapminer-suite --offline -q --test fleet_torture
+step 14 "crash-recovery gate" cargo test -p rapminer-cli --offline -q --test crash_recovery
+step 15 "fleet-torture gate" cargo test -p rapminer-cli --offline -q --test fleet_torture
 step 16 "throughput gate" throughput_gate
 step 17 "rapbench tests" cargo test --release --offline --manifest-path rapbench/Cargo.toml
 
