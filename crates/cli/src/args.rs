@@ -1,5 +1,9 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::path::PathBuf;
+use std::time::Duration;
+
+use service::ServiceConfig;
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,87 +78,13 @@ pub enum Command {
     },
     /// `serve`: run the rapd localization daemon.
     Serve {
-        /// NDJSON ingest/control listener address.
-        listen: String,
-        /// Prometheus `/metrics` listener address.
-        metrics_listen: String,
-        /// Number of shard worker threads.
-        shards: usize,
-        /// Bounded per-shard queue capacity (frames).
-        queue: usize,
-        /// Incident spool directory (no spooling when absent).
-        spool: Option<String>,
-        /// Incidents retained in the in-memory ring.
-        ring: usize,
-        /// Per-leaf history points kept per tenant.
-        history: usize,
-        /// Observations before alarms may fire.
-        warmup: usize,
-        /// Overall-KPI deviation that raises the alarm.
-        alarm_threshold: f64,
-        /// Per-leaf deviation labelling a leaf anomalous.
-        leaf_threshold: f64,
-        /// Root anomaly patterns reported per incident.
-        k: usize,
-        /// Moving-average forecast window.
-        window: usize,
-        /// Emit structured JSON log lines on stderr.
-        log_json: bool,
-        /// Localization deadline in milliseconds; `0` means unbounded.
-        localize_deadline_ms: u64,
-        /// Consecutive pipeline failures that open a tenant's circuit
-        /// breaker; `0` disables the breaker.
-        breaker_threshold: u32,
-        /// How long an open breaker sheds frames before probing, in
-        /// milliseconds.
-        breaker_cooldown_ms: u64,
-        /// Distinct unknown attribute values tolerated per tenant before
-        /// drifted frames quarantine; `0` quarantines all drift.
-        schema_drift_limit: usize,
-        /// Frames buffered per tenant for timestamp reordering.
-        reorder_window: usize,
-        /// Out-of-orderness tolerated before a timestamped frame is late,
-        /// in milliseconds.
-        max_lateness_ms: u64,
-        /// Intra-frame localization threads per shard worker (`1` keeps a
-        /// frame on its shard's core, `0` fans one frame out over the
-        /// machine).
-        intra_frame_threads: usize,
-        /// Run the streaming detector in front of localization: consume
-        /// raw unlabelled frames and self-trigger when the overall KPI
-        /// deviates.
-        detect: bool,
-        /// σ-score the detector must cross to trigger (detect mode only).
-        detect_threshold: f64,
-        /// Seasonal period of the detector's Holt–Winters forecaster;
-        /// `0` uses plain EWMA.
-        seasonal_period: usize,
-        /// Span/event lines each shard worker's flight recorder retains
-        /// for post-mortem blackbox dumps; `0` disables the recorder.
-        flight_recorder: usize,
-        /// Journal admitted frames to a write-ahead log under the spool
-        /// directory so a crash loses nothing past admission (needs
-        /// `--spool`; on by default).
-        wal: bool,
-        /// `fsync` every WAL append before acknowledging, extending
-        /// durability from process crashes to power loss (off by
-        /// default; costs one fsync per frame).
-        wal_fsync: bool,
-        /// Milliseconds between detector checkpoints; `0` disables
-        /// periodic checkpointing (a graceful drain still checkpoints).
-        checkpoint_interval_ms: u64,
-        /// Size ceiling per spool file before it rotates to a `.1`
-        /// segment and the oldest segment is evicted; `0` disables
-        /// rotation.
-        spool_max_bytes: u64,
+        /// Every daemon setting, parsed straight from its flag; a flag
+        /// that is not given keeps its [`ServiceConfig`] default.
+        config: Box<ServiceConfig>,
         /// Run a fleet: a consistent-hash router over this many
         /// supervised worker processes. `0` (the default) keeps the
         /// classic single-process daemon. Needs `--spool`.
         workers: usize,
-        /// Bound on the graceful drain a `shutdown` verb performs; on
-        /// overrun the daemon checkpoints what drained, logs the
-        /// stragglers, and exits nonzero.
-        shutdown_deadline_ms: u64,
         /// Frames the router parks per unavailable worker before
         /// shedding new ones (fleet mode only).
         park_capacity: usize,
@@ -165,6 +95,9 @@ pub enum Command {
         /// framed wire protocol and announce on stdout. Set by the
         /// router's supervisor, not by operators.
         worker_index: Option<usize>,
+        /// The flags as given, in order, without their `--`; a fleet
+        /// router hands them on to its workers.
+        flags: Vec<(String, String)>,
     },
     /// `debug`: query a running rapd daemon's live internals (queue
     /// depths, per-tenant engine/breaker/reorder state, flight-recorder
@@ -311,7 +244,7 @@ impl Args {
                 k: parse_num(&flags, "k", 3)?,
                 t_cp: parse_opt_float(&flags, "t-cp")?,
                 t_conf: parse_opt_float(&flags, "t-conf")?,
-                detect_threshold: parse_float(&flags, "detect-threshold", 0.095)?,
+                detect_threshold: parse_num(&flags, "detect-threshold", 0.095)?,
                 explain: parse_bool(&flags, "explain")?,
                 stats: parse_bool(&flags, "stats")?,
                 threads: parse_num(&flags, "threads", 0)?,
@@ -331,47 +264,7 @@ impl Args {
                 seed: parse_num(&flags, "seed", 404)?,
                 rap: flags.get("rap").cloned(),
             },
-            "serve" => Command::Serve {
-                listen: flags
-                    .get("listen")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:4817".to_string()),
-                metrics_listen: flags
-                    .get("metrics-listen")
-                    .cloned()
-                    .unwrap_or_else(|| "127.0.0.1:9187".to_string()),
-                shards: parse_num(&flags, "shards", 4)?,
-                queue: parse_num(&flags, "queue", 1024)?,
-                spool: flags.get("spool").cloned(),
-                ring: parse_num(&flags, "ring", 256)?,
-                history: parse_num(&flags, "history", 1440)?,
-                warmup: parse_num(&flags, "warmup", 10)?,
-                alarm_threshold: parse_float(&flags, "alarm-threshold", 0.1)?,
-                leaf_threshold: parse_float(&flags, "leaf-threshold", 0.3)?,
-                k: parse_num(&flags, "k", 3)?,
-                window: parse_num(&flags, "window", 10)?,
-                log_json: parse_bool(&flags, "log-json")?,
-                localize_deadline_ms: parse_num(&flags, "localize-deadline-ms", 0)?,
-                breaker_threshold: parse_num(&flags, "breaker-threshold", 5)?,
-                breaker_cooldown_ms: parse_num(&flags, "breaker-cooldown-ms", 10_000)?,
-                schema_drift_limit: parse_num(&flags, "schema-drift-limit", 8)?,
-                reorder_window: parse_num(&flags, "reorder-window", 32)?,
-                max_lateness_ms: parse_num(&flags, "max-lateness-ms", 2_000)?,
-                intra_frame_threads: parse_num(&flags, "intra-frame-threads", 1)?,
-                detect: parse_bool(&flags, "detect")?,
-                detect_threshold: parse_float(&flags, "detect-threshold", 4.0)?,
-                seasonal_period: parse_num(&flags, "seasonal-period", 0)?,
-                flight_recorder: parse_num(&flags, "flight-recorder", 256)?,
-                wal: parse_bool_default(&flags, "wal", true)?,
-                wal_fsync: parse_bool(&flags, "wal-fsync")?,
-                checkpoint_interval_ms: parse_num(&flags, "checkpoint-interval-ms", 30_000)?,
-                spool_max_bytes: parse_num(&flags, "spool-max-bytes", 64 << 20)?,
-                workers: parse_num(&flags, "workers", 0)?,
-                shutdown_deadline_ms: parse_num(&flags, "shutdown-deadline-ms", 60_000)?,
-                park_capacity: parse_num(&flags, "park-capacity", 1024)?,
-                request_deadline_ms: parse_num(&flags, "request-deadline-ms", 10_000)?,
-                worker_index: parse_opt_num(&flags, "worker-index")?,
-            },
+            "serve" => parse_serve(flags)?,
             "debug" => Command::Debug {
                 addr: flags
                     .get("addr")
@@ -397,9 +290,9 @@ impl Args {
                 injections: parse_num(&flags, "injections", 5)?,
                 duration: parse_num(&flags, "duration", 4)?,
                 seed: parse_num(&flags, "seed", 7)?,
-                threshold: parse_float(&flags, "threshold", 4.0)?,
+                threshold: parse_num(&flags, "threshold", 4.0)?,
                 seasonal_period: parse_num(&flags, "seasonal-period", 0)?,
-                min_recall: parse_float(&flags, "min-recall", 0.0)?,
+                min_recall: parse_num(&flags, "min-recall", 0.0)?,
                 max_false_triggers: parse_num(&flags, "max-false-triggers", usize::MAX)?,
             },
             "loadgen" => {
@@ -407,6 +300,7 @@ impl Args {
                 // the standalone binary); re-add the prefix this parser
                 // stripped.
                 let prefixed: HashMap<String, String> = flags
+                    .0
                     .iter()
                     .map(|(k, v)| (format!("--{k}"), v.clone()))
                     .collect();
@@ -424,10 +318,17 @@ impl Args {
     }
 }
 
-fn parse_flags<I: Iterator<Item = String>>(
-    mut raw: I,
-) -> Result<HashMap<String, String>, ParseError> {
-    let mut flags = HashMap::new();
+/// A command's `--name value` pairs without the `--`, in the order given.
+struct Flags(Vec<(String, String)>);
+
+impl Flags {
+    fn get(&self, name: &str) -> Option<&String> {
+        self.0.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+}
+
+fn parse_flags<I: Iterator<Item = String>>(mut raw: I) -> Result<Flags, ParseError> {
+    let mut flags = Flags(Vec::new());
     while let Some(flag) = raw.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(ParseError(format!("expected a --flag, got `{flag}`")));
@@ -435,82 +336,116 @@ fn parse_flags<I: Iterator<Item = String>>(
         let value = raw
             .next()
             .ok_or_else(|| ParseError(format!("flag --{name} needs a value")))?;
-        if flags.insert(name.to_string(), value).is_some() {
+        if flags.get(name).is_some() {
             return Err(ParseError(format!("flag --{name} given twice")));
         }
+        flags.0.push((name.to_string(), value));
     }
     Ok(flags)
 }
 
-fn require(flags: &HashMap<String, String>, name: &str) -> Result<String, ParseError> {
+/// Parse the `serve` flags straight into the daemon settings: one arm per
+/// flag, writing the one field that flag sets, so
+/// `ServiceConfig::default()` is the only place a daemon default lives.
+/// Unknown flags are ignored, as by every other command.
+fn parse_serve(flags: Flags) -> Result<Command, ParseError> {
+    let mut config = ServiceConfig::default();
+    let (mut workers, mut park_capacity, mut request_deadline_ms) = (0, 1024, 10_000);
+    let mut worker_index = None;
+    for (name, value) in &flags.0 {
+        let c = &mut config;
+        match name.as_str() {
+            "listen" => c.listen = value.clone(),
+            "metrics-listen" => c.metrics_listen = value.clone(),
+            "shards" => c.shards = num(name, value)?,
+            "queue" => c.queue_capacity = num(name, value)?,
+            "spool" => c.spool_dir = Some(PathBuf::from(value)),
+            "ring" => c.ring_capacity = num(name, value)?,
+            "history" => c.pipeline.history_len = num(name, value)?,
+            "warmup" => c.pipeline.warmup = num(name, value)?,
+            "alarm-threshold" => c.pipeline.alarm_threshold = num(name, value)?,
+            "leaf-threshold" => c.pipeline.leaf_threshold = num(name, value)?,
+            "k" => c.pipeline.k = num(name, value)?,
+            "window" => c.forecast_window = num(name, value)?,
+            "log-json" => c.log_json = boolean(name, value)?,
+            // 0 on the command line means "no deadline"
+            "localize-deadline-ms" => {
+                c.pipeline.localize_deadline = Some(millis(name, value)?).filter(|d| !d.is_zero())
+            }
+            "breaker-threshold" => c.breaker_threshold = num(name, value)?,
+            "breaker-cooldown-ms" => c.breaker_cooldown = millis(name, value)?,
+            "schema-drift-limit" => c.schema_drift_limit = num(name, value)?,
+            "reorder-window" => c.reorder_window = num(name, value)?,
+            "max-lateness-ms" => c.max_lateness = millis(name, value)?,
+            "intra-frame-threads" => c.pipeline.localize_threads = num(name, value)?,
+            "detect" => c.detect = boolean(name, value)?,
+            "detect-threshold" => c.detect_threshold = num(name, value)?,
+            "seasonal-period" => c.seasonal_period = num(name, value)?,
+            "flight-recorder" => c.flight_recorder_capacity = num(name, value)?,
+            "wal" => c.wal = boolean(name, value)?,
+            "wal-fsync" => c.wal_fsync = boolean(name, value)?,
+            "checkpoint-interval-ms" => c.checkpoint_interval = millis(name, value)?,
+            "spool-max-bytes" => c.spool_max_bytes = num(name, value)?,
+            "shutdown-deadline-ms" => c.shutdown_deadline = millis(name, value)?,
+            "workers" => workers = num(name, value)?,
+            "park-capacity" => park_capacity = num(name, value)?,
+            "request-deadline-ms" => request_deadline_ms = num(name, value)?,
+            "worker-index" => worker_index = Some(num(name, value)?),
+            _ => {}
+        }
+    }
+    Ok(Command::Serve {
+        config: Box::new(config),
+        workers,
+        park_capacity,
+        request_deadline_ms,
+        worker_index,
+        flags: flags.0,
+    })
+}
+
+fn require(flags: &Flags, name: &str) -> Result<String, ParseError> {
     flags
         .get(name)
         .cloned()
         .ok_or_else(|| ParseError(format!("missing required flag --{name}")))
 }
 
-fn parse_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: T,
-) -> Result<T, ParseError> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(s) => s
-            .parse()
-            .map_err(|_| ParseError(format!("--{name}: `{s}` is not a valid number"))),
+fn num<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, ParseError> {
+    value
+        .parse()
+        .map_err(|_| ParseError(format!("--{name}: `{value}` is not a valid number")))
+}
+
+fn millis(name: &str, value: &str) -> Result<Duration, ParseError> {
+    num(name, value).map(Duration::from_millis)
+}
+
+fn boolean(name: &str, value: &str) -> Result<bool, ParseError> {
+    match value {
+        "true" | "1" | "yes" => Ok(true),
+        "false" | "0" | "no" => Ok(false),
+        other => Err(ParseError(format!("--{name}: `{other}` is not a boolean"))),
     }
 }
 
-fn parse_float(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: f64,
-) -> Result<f64, ParseError> {
-    parse_num(flags, name, default)
+fn parse_num<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, ParseError> {
+    flags
+        .get(name)
+        .map_or(Ok(default), |value| num(name, value))
 }
 
-fn parse_opt_num<T: std::str::FromStr>(
-    flags: &HashMap<String, String>,
-    name: &str,
-) -> Result<Option<T>, ParseError> {
-    match flags.get(name) {
-        None => Ok(None),
-        Some(s) => s
-            .parse()
-            .map(Some)
-            .map_err(|_| ParseError(format!("--{name}: `{s}` is not a valid number"))),
-    }
+fn parse_opt_float(flags: &Flags, name: &str) -> Result<Option<f64>, ParseError> {
+    flags.get(name).map(|value| num(name, value)).transpose()
 }
 
-fn parse_opt_float(flags: &HashMap<String, String>, name: &str) -> Result<Option<f64>, ParseError> {
-    match flags.get(name) {
-        None => Ok(None),
-        Some(s) => s
-            .parse()
-            .map(Some)
-            .map_err(|_| ParseError(format!("--{name}: `{s}` is not a valid number"))),
-    }
+fn parse_bool(flags: &Flags, name: &str) -> Result<bool, ParseError> {
+    flags
+        .get(name)
+        .map_or(Ok(false), |value| boolean(name, value))
 }
 
-fn parse_bool(flags: &HashMap<String, String>, name: &str) -> Result<bool, ParseError> {
-    parse_bool_default(flags, name, false)
-}
-
-fn parse_bool_default(
-    flags: &HashMap<String, String>,
-    name: &str,
-    default: bool,
-) -> Result<bool, ParseError> {
-    match flags.get(name).map(String::as_str) {
-        None => Ok(default),
-        Some("true") | Some("1") | Some("yes") => Ok(true),
-        Some("false") | Some("0") | Some("no") => Ok(false),
-        Some(other) => Err(ParseError(format!("--{name}: `{other}` is not a boolean"))),
-    }
-}
-
-fn parse_k_list(flags: &HashMap<String, String>) -> Result<Vec<usize>, ParseError> {
+fn parse_k_list(flags: &Flags) -> Result<Vec<usize>, ParseError> {
     match flags.get("k") {
         None => Ok(vec![3, 4, 5]),
         Some(s) => s
@@ -584,6 +519,14 @@ mod tests {
         }
     }
 
+    /// The daemon settings a `serve` command line parses into.
+    fn serve_config(argv: &[&str]) -> ServiceConfig {
+        match Args::parse(argv.iter().copied()).unwrap().command {
+            Command::Serve { config, .. } => *config,
+            other => panic!("wrong command {other:?}"),
+        }
+    }
+
     #[test]
     fn parses_localize_stats_and_serve_log_json() {
         let args = Args::parse(["localize", "--input", "a.csv", "--stats", "true"]).unwrap();
@@ -591,21 +534,14 @@ mod tests {
             Command::Localize { stats, .. } => assert!(stats),
             other => panic!("wrong command {other:?}"),
         }
-        let args = Args::parse(["serve", "--log-json", "true"]).unwrap();
-        match args.command {
-            Command::Serve { log_json, .. } => assert!(log_json),
-            other => panic!("wrong command {other:?}"),
-        }
+        assert!(serve_config(&["serve", "--log-json", "true"]).log_json);
         // booleans still default off
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve { log_json, .. } => assert!(!log_json),
-            other => panic!("wrong command {other:?}"),
-        }
+        assert!(!serve_config(&["serve"]).log_json);
     }
 
     #[test]
     fn parses_serve_fault_tolerance_flags() {
-        let args = Args::parse([
+        let config = serve_config(&[
             "serve",
             "--localize-deadline-ms",
             "250",
@@ -613,40 +549,26 @@ mod tests {
             "3",
             "--breaker-cooldown-ms",
             "5000",
-        ])
-        .unwrap();
-        match args.command {
-            Command::Serve {
-                localize_deadline_ms,
-                breaker_threshold,
-                breaker_cooldown_ms,
-                ..
-            } => {
-                assert_eq!(localize_deadline_ms, 250);
-                assert_eq!(breaker_threshold, 3);
-                assert_eq!(breaker_cooldown_ms, 5000);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        ]);
+        assert_eq!(
+            config.pipeline.localize_deadline,
+            Some(Duration::from_millis(250))
+        );
+        assert_eq!(config.breaker_threshold, 3);
+        assert_eq!(config.breaker_cooldown, Duration::from_millis(5000));
         // defaults: unbounded localization, breaker 5 failures / 10 s
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve {
-                localize_deadline_ms,
-                breaker_threshold,
-                breaker_cooldown_ms,
-                ..
-            } => {
-                assert_eq!(localize_deadline_ms, 0);
-                assert_eq!(breaker_threshold, 5);
-                assert_eq!(breaker_cooldown_ms, 10_000);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        let config = serve_config(&["serve"]);
+        assert_eq!(config.pipeline.localize_deadline, None);
+        assert_eq!(config.breaker_threshold, 5);
+        assert_eq!(config.breaker_cooldown, Duration::from_secs(10));
+        // an explicit 0 also means unbounded
+        let config = serve_config(&["serve", "--localize-deadline-ms", "0"]);
+        assert_eq!(config.pipeline.localize_deadline, None);
     }
 
     #[test]
     fn parses_serve_admission_flags() {
-        let args = Args::parse([
+        let config = serve_config(&[
             "serve",
             "--schema-drift-limit",
             "2",
@@ -654,35 +576,15 @@ mod tests {
             "64",
             "--max-lateness-ms",
             "500",
-        ])
-        .unwrap();
-        match args.command {
-            Command::Serve {
-                schema_drift_limit,
-                reorder_window,
-                max_lateness_ms,
-                ..
-            } => {
-                assert_eq!(schema_drift_limit, 2);
-                assert_eq!(reorder_window, 64);
-                assert_eq!(max_lateness_ms, 500);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        ]);
+        assert_eq!(config.schema_drift_limit, 2);
+        assert_eq!(config.reorder_window, 64);
+        assert_eq!(config.max_lateness, Duration::from_millis(500));
         // defaults: 8 drifted values, 32-frame window, 2 s lateness
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve {
-                schema_drift_limit,
-                reorder_window,
-                max_lateness_ms,
-                ..
-            } => {
-                assert_eq!(schema_drift_limit, 8);
-                assert_eq!(reorder_window, 32);
-                assert_eq!(max_lateness_ms, 2_000);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        let config = serve_config(&["serve"]);
+        assert_eq!(config.schema_drift_limit, 8);
+        assert_eq!(config.reorder_window, 32);
+        assert_eq!(config.max_lateness, Duration::from_secs(2));
     }
 
     #[test]
@@ -692,28 +594,16 @@ mod tests {
             Command::Localize { threads, .. } => assert_eq!(threads, 8),
             other => panic!("wrong command {other:?}"),
         }
-        let args = Args::parse(["serve", "--intra-frame-threads", "4"]).unwrap();
-        match args.command {
-            Command::Serve {
-                intra_frame_threads,
-                ..
-            } => assert_eq!(intra_frame_threads, 4),
-            other => panic!("wrong command {other:?}"),
-        }
+        let config = serve_config(&["serve", "--intra-frame-threads", "4"]);
+        assert_eq!(config.pipeline.localize_threads, 4);
         // default: one core per shard frame, as before this flag existed
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve {
-                intra_frame_threads,
-                ..
-            } => assert_eq!(intra_frame_threads, 1),
-            other => panic!("wrong command {other:?}"),
-        }
+        assert_eq!(serve_config(&["serve"]).pipeline.localize_threads, 1);
         assert!(Args::parse(["localize", "--input", "a", "--threads", "x"]).is_err());
     }
 
     #[test]
     fn parses_serve_detect_flags() {
-        let args = Args::parse([
+        let config = serve_config(&[
             "serve",
             "--detect",
             "true",
@@ -721,55 +611,23 @@ mod tests {
             "5.5",
             "--seasonal-period",
             "1440",
-        ])
-        .unwrap();
-        match args.command {
-            Command::Serve {
-                detect,
-                detect_threshold,
-                seasonal_period,
-                ..
-            } => {
-                assert!(detect);
-                assert_eq!(detect_threshold, 5.5);
-                assert_eq!(seasonal_period, 1440);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        ]);
+        assert!(config.detect);
+        assert_eq!(config.detect_threshold, 5.5);
+        assert_eq!(config.seasonal_period, 1440);
         // defaults: classic mode, 4σ, EWMA-only
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve {
-                detect,
-                detect_threshold,
-                seasonal_period,
-                ..
-            } => {
-                assert!(!detect);
-                assert_eq!(detect_threshold, 4.0);
-                assert_eq!(seasonal_period, 0);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        let config = serve_config(&["serve"]);
+        assert!(!config.detect);
+        assert_eq!(config.detect_threshold, 4.0);
+        assert_eq!(config.seasonal_period, 0);
     }
 
     #[test]
     fn parses_serve_flight_recorder_and_debug() {
-        match Args::parse(["serve", "--flight-recorder", "64"])
-            .unwrap()
-            .command
-        {
-            Command::Serve {
-                flight_recorder, ..
-            } => assert_eq!(flight_recorder, 64),
-            other => panic!("wrong command {other:?}"),
-        }
+        let config = serve_config(&["serve", "--flight-recorder", "64"]);
+        assert_eq!(config.flight_recorder_capacity, 64);
         // default matches obs::recorder::DEFAULT_FLIGHT_CAPACITY
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve {
-                flight_recorder, ..
-            } => assert_eq!(flight_recorder, 256),
-            other => panic!("wrong command {other:?}"),
-        }
+        assert_eq!(serve_config(&["serve"]).flight_recorder_capacity, 256);
         assert_eq!(
             Args::parse(["debug"]).unwrap().command,
             Command::Debug {
@@ -790,7 +648,7 @@ mod tests {
 
     #[test]
     fn parses_serve_durability_flags() {
-        let args = Args::parse([
+        let config = serve_config(&[
             "serve",
             "--wal",
             "false",
@@ -800,40 +658,18 @@ mod tests {
             "5000",
             "--spool-max-bytes",
             "1048576",
-        ])
-        .unwrap();
-        match args.command {
-            Command::Serve {
-                wal,
-                wal_fsync,
-                checkpoint_interval_ms,
-                spool_max_bytes,
-                ..
-            } => {
-                assert!(!wal);
-                assert!(wal_fsync);
-                assert_eq!(checkpoint_interval_ms, 5000);
-                assert_eq!(spool_max_bytes, 1_048_576);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        ]);
+        assert!(!config.wal);
+        assert!(config.wal_fsync);
+        assert_eq!(config.checkpoint_interval, Duration::from_millis(5000));
+        assert_eq!(config.spool_max_bytes, 1_048_576);
         // defaults: WAL on (no per-append fsync), 30 s checkpoints,
         // 64 MiB spool ceiling
-        match Args::parse(["serve"]).unwrap().command {
-            Command::Serve {
-                wal,
-                wal_fsync,
-                checkpoint_interval_ms,
-                spool_max_bytes,
-                ..
-            } => {
-                assert!(wal, "WAL must default on");
-                assert!(!wal_fsync, "per-append fsync must default off");
-                assert_eq!(checkpoint_interval_ms, 30_000);
-                assert_eq!(spool_max_bytes, 64 << 20);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
+        let config = serve_config(&["serve"]);
+        assert!(config.wal, "WAL must default on");
+        assert!(!config.wal_fsync, "per-append fsync must default off");
+        assert_eq!(config.checkpoint_interval, Duration::from_secs(30));
+        assert_eq!(config.spool_max_bytes, 64 << 20);
         assert!(Args::parse(["serve", "--wal", "maybe"]).is_err());
     }
 
@@ -855,18 +691,21 @@ mod tests {
         .unwrap();
         match args.command {
             Command::Serve {
+                config,
                 workers,
-                shutdown_deadline_ms,
                 park_capacity,
                 request_deadline_ms,
                 worker_index,
-                ..
+                flags,
             } => {
                 assert_eq!(workers, 3);
-                assert_eq!(shutdown_deadline_ms, 5000);
+                assert_eq!(config.shutdown_deadline, Duration::from_secs(5));
                 assert_eq!(park_capacity, 64);
                 assert_eq!(request_deadline_ms, 2500);
                 assert_eq!(worker_index, Some(1));
+                // the flags are kept as given, in order
+                assert_eq!(flags[0], ("workers".to_string(), "3".to_string()));
+                assert_eq!(flags[4], ("worker-index".to_string(), "1".to_string()));
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -874,22 +713,29 @@ mod tests {
         // buffer, 10 s per-request deadline, not a worker
         match Args::parse(["serve"]).unwrap().command {
             Command::Serve {
+                config,
                 workers,
-                shutdown_deadline_ms,
                 park_capacity,
                 request_deadline_ms,
                 worker_index,
-                ..
+                flags,
             } => {
                 assert_eq!(workers, 0);
-                assert_eq!(shutdown_deadline_ms, 60_000);
+                assert_eq!(config.shutdown_deadline, Duration::from_secs(60));
                 assert_eq!(park_capacity, 1024);
                 assert_eq!(request_deadline_ms, 10_000);
                 assert_eq!(worker_index, None);
+                assert!(flags.is_empty());
             }
             other => panic!("wrong command {other:?}"),
         }
         assert!(Args::parse(["serve", "--workers", "three"]).is_err());
+        // unknown flags are ignored, and a repeated flag is refused
+        assert_eq!(
+            serve_config(&["serve", "--no-such", "1"]),
+            ServiceConfig::default()
+        );
+        assert!(Args::parse(["serve", "--k", "1", "--k", "2"]).is_err());
     }
 
     #[test]

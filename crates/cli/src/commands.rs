@@ -130,22 +130,33 @@ pub fn run(args: &Args, out: &mut dyn std::io::Write) -> Result<(), CliError> {
             out,
         ),
         Command::Serve {
+            config,
             workers,
+            park_capacity,
+            request_deadline_ms,
             worker_index,
-            ..
+            flags,
         } => {
             if let Some(index) = worker_index {
                 // fleet worker: spawned by the router's supervisor, speaks
                 // the versioned wire protocol on its own port
-                serve_worker(&args.command, *index)
+                serve_worker(config, *index)
             } else if *workers > 0 {
                 // fleet router: front door + supervised worker processes
-                serve_router(&args.command, out)
+                let request_deadline = std::time::Duration::from_millis(*request_deadline_ms);
+                serve_router(
+                    config,
+                    *workers,
+                    *park_capacity,
+                    request_deadline,
+                    flags,
+                    out,
+                )
             } else {
                 // single-process daemon: serve until a `shutdown` control
                 // verb drains us (or the process is killed), then flush,
                 // checkpoint, and exit
-                let handle = serve_start(&args.command, out)?;
+                let handle = serve_start(config, out)?;
                 let clean = handle.wait_for_drain();
                 handle.shutdown();
                 writeln!(out, "rapd drained; exiting").map_err(io_err)?;
@@ -265,104 +276,13 @@ fn connect_with_retry(addr: &str) -> Result<std::net::TcpStream, CliError> {
         .map_err(|e| CliError::new(format!("cannot connect to rapd at {addr}: {e}")))
 }
 
-/// Build the daemon's [`service::ServiceConfig`] from the `serve` flags.
-/// Shared by the single-process path ([`serve_start`]) and the fleet
-/// worker path ([`serve_worker`]), so both modes interpret the flags
-/// identically.
-fn build_service_config(command: &Command) -> Result<service::ServiceConfig, CliError> {
-    let Command::Serve {
-        listen,
-        metrics_listen,
-        shards,
-        queue,
-        spool,
-        ring,
-        history,
-        warmup,
-        alarm_threshold,
-        leaf_threshold,
-        k,
-        window,
-        log_json,
-        localize_deadline_ms,
-        breaker_threshold,
-        breaker_cooldown_ms,
-        schema_drift_limit,
-        reorder_window,
-        max_lateness_ms,
-        intra_frame_threads,
-        detect,
-        detect_threshold,
-        seasonal_period,
-        flight_recorder,
-        wal,
-        wal_fsync,
-        checkpoint_interval_ms,
-        spool_max_bytes,
-        shutdown_deadline_ms,
-        ..
-    } = command
-    else {
-        return Err(CliError::new("serve requires the serve command"));
-    };
-    Ok(service::ServiceConfig {
-        listen: listen.clone(),
-        metrics_listen: metrics_listen.clone(),
-        shards: *shards,
-        queue_capacity: *queue,
-        spool_dir: spool.as_ref().map(std::path::PathBuf::from),
-        ring_capacity: *ring,
-        forecast_window: *window,
-        log_json: *log_json,
-        breaker_threshold: *breaker_threshold,
-        breaker_cooldown: std::time::Duration::from_millis(*breaker_cooldown_ms),
-        schema_drift_limit: *schema_drift_limit,
-        reorder_window: *reorder_window,
-        max_lateness: std::time::Duration::from_millis(*max_lateness_ms),
-        detect: *detect,
-        detect_threshold: *detect_threshold,
-        seasonal_period: *seasonal_period,
-        flight_recorder_capacity: *flight_recorder,
-        wal: *wal,
-        wal_fsync: *wal_fsync,
-        checkpoint_interval: std::time::Duration::from_millis(*checkpoint_interval_ms),
-        spool_max_bytes: *spool_max_bytes,
-        shutdown_deadline: std::time::Duration::from_millis(*shutdown_deadline_ms),
-        pipeline: pipeline::PipelineConfig {
-            history_len: *history,
-            warmup: *warmup,
-            alarm_threshold: *alarm_threshold,
-            leaf_threshold: *leaf_threshold,
-            k: *k,
-            // 0 on the command line means "no deadline"
-            localize_deadline: match *localize_deadline_ms {
-                0 => None,
-                ms => Some(std::time::Duration::from_millis(ms)),
-            },
-            localize_threads: *intra_frame_threads,
-        },
-        ..service::ServiceConfig::default()
-    })
-}
-
-/// Boot the rapd daemon from the `serve` flags and report its listeners.
-/// Split from [`run`] so tests can boot and then shut the daemon down.
+/// Boot the rapd daemon and report its listeners. Split from [`run`] so
+/// tests can boot and then shut the daemon down.
 pub(crate) fn serve_start(
-    command: &Command,
+    config: &service::ServiceConfig,
     out: &mut dyn std::io::Write,
 ) -> Result<service::ServerHandle, CliError> {
-    let Command::Serve {
-        spool,
-        detect,
-        detect_threshold,
-        wal,
-        ..
-    } = command
-    else {
-        return Err(CliError::new("serve_start requires the serve command"));
-    };
-    let config = build_service_config(command)?;
-    let handle = service::start(config, service::default_factory())
+    let handle = service::start(config.clone(), service::default_factory())
         .map_err(|e| CliError::new(e.to_string()))?;
     writeln!(
         out,
@@ -376,9 +296,10 @@ pub(crate) fn serve_start(
         handle.metrics_addr()
     )
     .map_err(io_err)?;
-    if let Some(dir) = spool {
+    if let Some(dir) = &config.spool_dir {
+        let dir = dir.display();
         writeln!(out, "rapd spooling incidents under {dir}").map_err(io_err)?;
-        if *wal {
+        if config.wal {
             writeln!(
                 out,
                 "rapd journaling admitted frames and checkpoints under {dir}"
@@ -386,10 +307,11 @@ pub(crate) fn serve_start(
             .map_err(io_err)?;
         }
     }
-    if *detect {
+    if config.detect {
         writeln!(
             out,
-            "rapd detect mode: self-triggering localization at {detect_threshold}σ"
+            "rapd detect mode: self-triggering localization at {}σ",
+            config.detect_threshold
         )
         .map_err(io_err)?;
     }
@@ -400,9 +322,8 @@ pub(crate) fn serve_start(
 /// supervisor spawns this, reads the announce line from stdout, and
 /// speaks the versioned wire protocol on the announced port. Exits
 /// nonzero when the graceful drain overruns `--shutdown-deadline-ms`.
-fn serve_worker(command: &Command, index: usize) -> Result<(), CliError> {
-    let config = build_service_config(command)?;
-    let clean = service::worker::run_worker(config, service::default_factory(), index)
+fn serve_worker(config: &service::ServiceConfig, index: usize) -> Result<(), CliError> {
+    let clean = service::worker::run_worker(config.clone(), service::default_factory(), index)
         .map_err(|e| CliError::new(e.to_string()))?;
     if clean {
         Ok(())
@@ -418,21 +339,15 @@ fn serve_worker(command: &Command, index: usize) -> Result<(), CliError> {
 /// NDJSON port, spawn and babysit N worker processes, and route tenants
 /// onto them by consistent hash. Blocks until a `shutdown` verb drains
 /// the fleet; exits nonzero when the drain was not clean.
-fn serve_router(command: &Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
-    let Command::Serve {
-        listen,
-        metrics_listen,
-        spool,
-        workers,
-        shutdown_deadline_ms,
-        park_capacity,
-        request_deadline_ms,
-        ..
-    } = command
-    else {
-        return Err(CliError::new("serve_router requires the serve command"));
-    };
-    let Some(spool) = spool else {
+fn serve_router(
+    config: &service::ServiceConfig,
+    workers: usize,
+    park_capacity: usize,
+    request_deadline: std::time::Duration,
+    flags: &[(String, String)],
+    out: &mut dyn std::io::Write,
+) -> Result<(), CliError> {
+    let Some(spool) = &config.spool_dir else {
         return Err(CliError::new(
             "--workers needs --spool DIR: each worker keeps its WAL and checkpoints \
              under <spool>/worker-<i> so acknowledged frames survive a kill",
@@ -443,24 +358,23 @@ fn serve_router(command: &Command, out: &mut dyn std::io::Write) -> Result<(), C
             "cannot locate the rapd binary to spawn workers: {e}"
         ))
     })?;
-    let config = service::RouterConfig {
-        listen: listen.clone(),
-        metrics_listen: metrics_listen.clone(),
-        workers: *workers,
-        spool_dir: std::path::PathBuf::from(spool),
-        max_frame_bytes: service::ServiceConfig::default().max_frame_bytes,
-        park_capacity: *park_capacity,
-        request_deadline: std::time::Duration::from_millis(*request_deadline_ms),
-        shutdown_deadline: std::time::Duration::from_millis(*shutdown_deadline_ms),
+    let router = service::RouterConfig {
+        listen: config.listen.clone(),
+        metrics_listen: config.metrics_listen.clone(),
+        workers,
+        spool_dir: spool.clone(),
+        max_frame_bytes: config.max_frame_bytes,
+        park_capacity,
+        request_deadline,
+        shutdown_deadline: config.shutdown_deadline,
         worker_exe,
-        worker_args: worker_argv(command),
+        worker_args: worker_argv(flags),
     };
-    let handle = service::start_router(config).map_err(|e| CliError::new(e.to_string()))?;
+    let handle = service::start_router(router).map_err(|e| CliError::new(e.to_string()))?;
     writeln!(
         out,
-        "rapd listening on {} (NDJSON ingest/control; routing {} workers)",
-        handle.ingest_addr(),
-        workers
+        "rapd listening on {} (NDJSON ingest/control; routing {workers} workers)",
+        handle.ingest_addr()
     )
     .map_err(io_err)?;
     writeln!(
@@ -471,7 +385,8 @@ fn serve_router(command: &Command, out: &mut dyn std::io::Write) -> Result<(), C
     .map_err(io_err)?;
     writeln!(
         out,
-        "rapd fleet spooling under {spool} (one WAL per worker)"
+        "rapd fleet spooling under {} (one WAL per worker)",
+        spool.display()
     )
     .map_err(io_err)?;
     out.flush().map_err(io_err)?;
@@ -488,79 +403,27 @@ fn serve_router(command: &Command, out: &mut dyn std::io::Write) -> Result<(), C
     }
 }
 
-/// The argv the router hands every worker it spawns: the `serve` flags
-/// that shape the pipeline, minus everything per-process (listeners,
-/// spool directory, fleet topology) — the supervisor appends those per
-/// slot. Kept as a pure function so tests can assert nothing per-process
-/// leaks through.
-fn worker_argv(command: &Command) -> Vec<String> {
-    let Command::Serve {
-        shards,
-        queue,
-        ring,
-        history,
-        warmup,
-        alarm_threshold,
-        leaf_threshold,
-        k,
-        window,
-        log_json,
-        localize_deadline_ms,
-        breaker_threshold,
-        breaker_cooldown_ms,
-        schema_drift_limit,
-        reorder_window,
-        max_lateness_ms,
-        intra_frame_threads,
-        detect,
-        detect_threshold,
-        seasonal_period,
-        flight_recorder,
-        wal,
-        wal_fsync,
-        checkpoint_interval_ms,
-        spool_max_bytes,
-        shutdown_deadline_ms,
-        ..
-    } = command
-    else {
-        return Vec::new();
-    };
-    let flags: [(&str, String); 26] = [
-        ("--shards", shards.to_string()),
-        ("--queue", queue.to_string()),
-        ("--ring", ring.to_string()),
-        ("--history", history.to_string()),
-        ("--warmup", warmup.to_string()),
-        ("--alarm-threshold", alarm_threshold.to_string()),
-        ("--leaf-threshold", leaf_threshold.to_string()),
-        ("--k", k.to_string()),
-        ("--window", window.to_string()),
-        ("--log-json", log_json.to_string()),
-        ("--localize-deadline-ms", localize_deadline_ms.to_string()),
-        ("--breaker-threshold", breaker_threshold.to_string()),
-        ("--breaker-cooldown-ms", breaker_cooldown_ms.to_string()),
-        ("--schema-drift-limit", schema_drift_limit.to_string()),
-        ("--reorder-window", reorder_window.to_string()),
-        ("--max-lateness-ms", max_lateness_ms.to_string()),
-        ("--intra-frame-threads", intra_frame_threads.to_string()),
-        ("--detect", detect.to_string()),
-        ("--detect-threshold", detect_threshold.to_string()),
-        ("--seasonal-period", seasonal_period.to_string()),
-        ("--flight-recorder", flight_recorder.to_string()),
-        ("--wal", wal.to_string()),
-        ("--wal-fsync", wal_fsync.to_string()),
-        (
-            "--checkpoint-interval-ms",
-            checkpoint_interval_ms.to_string(),
-        ),
-        ("--spool-max-bytes", spool_max_bytes.to_string()),
-        ("--shutdown-deadline-ms", shutdown_deadline_ms.to_string()),
+/// The argv the router hands every worker it spawns: `serve` and the
+/// flags the router was given, as given, minus the per-process ones
+/// (listeners, spool directory, fleet topology) — the supervisor appends
+/// those per slot. Kept as a pure function so tests can assert nothing
+/// per-process leaks through.
+fn worker_argv(flags: &[(String, String)]) -> Vec<String> {
+    const PER_PROCESS: [&str; 7] = [
+        "listen",
+        "metrics-listen",
+        "spool",
+        "workers",
+        "park-capacity",
+        "request-deadline-ms",
+        "worker-index",
     ];
     let mut argv = vec!["serve".to_string()];
-    for (flag, value) in flags {
-        argv.push(flag.to_string());
-        argv.push(value);
+    for (name, value) in flags {
+        if !PER_PROCESS.contains(&name.as_str()) {
+            argv.push(format!("--{name}"));
+            argv.push(value.clone());
+        }
     }
     argv
 }
@@ -982,6 +845,20 @@ mod tests {
     use super::*;
     use crate::Args;
 
+    fn serve_config(args: &Args) -> &service::ServiceConfig {
+        match &args.command {
+            Command::Serve { config, .. } => config,
+            other => panic!("wrong command {other:?}"),
+        }
+    }
+
+    fn serve_flags(args: &Args) -> &[(String, String)] {
+        match &args.command {
+            Command::Serve { flags, .. } => flags,
+            other => panic!("wrong command {other:?}"),
+        }
+    }
+
     fn run_to_string(argv: &[&str]) -> Result<String, CliError> {
         let args = Args::parse(argv.iter().copied()).expect("parse");
         let mut buf = Vec::new();
@@ -1201,7 +1078,7 @@ mod tests {
         ])
         .unwrap();
         let mut out = Vec::new();
-        let handle = serve_start(&args.command, &mut out).unwrap();
+        let handle = serve_start(serve_config(&args), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("rapd listening on 127.0.0.1:"), "got: {text}");
         assert!(text.contains("/metrics"), "got: {text}");
@@ -1250,7 +1127,7 @@ mod tests {
         ])
         .unwrap();
         let mut out = Vec::new();
-        let handle = serve_start(&args.command, &mut out).unwrap();
+        let handle = serve_start(serve_config(&args), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.contains("detect mode"), "got: {text}");
         assert!(text.contains("4.5σ"), "got: {text}");
@@ -1270,7 +1147,7 @@ mod tests {
         ])
         .unwrap();
         let mut out = Vec::new();
-        let handle = serve_start(&args.command, &mut out).unwrap();
+        let handle = serve_start(serve_config(&args), &mut out).unwrap();
         let addr = handle.ingest_addr().to_string();
 
         let reply = run_to_string(&["debug", "--addr", &addr]).unwrap();
@@ -1301,7 +1178,7 @@ mod tests {
         ])
         .unwrap();
         let mut out = Vec::new();
-        let handle = serve_start(&args.command, &mut out).unwrap();
+        let handle = serve_start(serve_config(&args), &mut out).unwrap();
         let addr = handle.ingest_addr().to_string();
 
         let reply = run_to_string(&["stats", "--addr", &addr]).unwrap();
@@ -1319,7 +1196,7 @@ mod tests {
     fn serve_rejects_bad_config() {
         let args = Args::parse(["serve", "--shards", "0"]).unwrap();
         let mut out = Vec::new();
-        let err = match serve_start(&args.command, &mut out) {
+        let err = match serve_start(serve_config(&args), &mut out) {
             Err(e) => e,
             Ok(_) => panic!("zero shards must be rejected"),
         };
@@ -1344,7 +1221,7 @@ mod tests {
             "127.0.0.1:4817",
         ])
         .unwrap();
-        let argv = worker_argv(&args.command);
+        let argv = worker_argv(serve_flags(&args));
         assert_eq!(argv[0], "serve");
         // the supervisor owns these per slot; the shared argv must not
         // carry them or every worker would fight over one port and spool
@@ -1366,19 +1243,210 @@ mod tests {
         let reparsed = Args::parse(argv).unwrap();
         match reparsed.command {
             Command::Serve {
-                shards,
-                wal_fsync,
+                config,
                 workers,
                 worker_index,
                 ..
             } => {
-                assert_eq!(shards, 2);
-                assert!(wal_fsync);
+                assert_eq!(config.shards, 2);
+                assert!(config.wal_fsync);
                 assert_eq!(workers, 0, "a spawned worker must not recurse into a fleet");
                 assert_eq!(worker_index, None);
             }
             other => panic!("wrong command {other:?}"),
         }
+    }
+
+    /// The four `serve` values that configure a fleet rather than a daemon.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Fleet {
+        workers: usize,
+        park_capacity: usize,
+        request_deadline_ms: u64,
+        worker_index: Option<usize>,
+    }
+
+    impl Default for Fleet {
+        fn default() -> Self {
+            Fleet {
+                workers: 0,
+                park_capacity: 1024,
+                request_deadline_ms: 10_000,
+                worker_index: None,
+            }
+        }
+    }
+
+    /// The daemon config and fleet values one `serve` command line yields.
+    fn serve_settings(argv: &[String]) -> (service::ServiceConfig, Fleet) {
+        let args = Args::parse(argv.iter().cloned()).expect("serve line parses");
+        let config = serve_config(&args).clone();
+        let Command::Serve {
+            workers,
+            park_capacity,
+            request_deadline_ms,
+            worker_index,
+            ..
+        } = args.command
+        else {
+            panic!("wrong command {:?}", args.command);
+        };
+        let fleet = Fleet {
+            workers,
+            park_capacity,
+            request_deadline_ms,
+            worker_index,
+        };
+        (config, fleet)
+    }
+
+    /// One `serve` flag, a non-default value for it, and the one setting
+    /// that value must change.
+    type Setting = (
+        &'static str,
+        &'static str,
+        fn(&mut service::ServiceConfig, &mut Fleet),
+    );
+
+    /// Every `serve` flag in `USAGE` plus the hidden `--worker-index`.
+    fn every_serve_flag() -> Vec<Setting> {
+        use std::time::Duration;
+        vec![
+            ("listen", "10.0.0.1:1", |c, _| {
+                c.listen = "10.0.0.1:1".into()
+            }),
+            ("metrics-listen", "10.0.0.1:2", |c, _| {
+                c.metrics_listen = "10.0.0.1:2".into()
+            }),
+            ("shards", "7", |c, _| c.shards = 7),
+            ("queue", "77", |c, _| c.queue_capacity = 77),
+            ("spool", "/tmp/pin-spool", |c, _| {
+                c.spool_dir = Some("/tmp/pin-spool".into())
+            }),
+            ("ring", "9", |c, _| c.ring_capacity = 9),
+            ("history", "99", |c, _| c.pipeline.history_len = 99),
+            ("warmup", "3", |c, _| c.pipeline.warmup = 3),
+            ("alarm-threshold", "0.25", |c, _| {
+                c.pipeline.alarm_threshold = 0.25
+            }),
+            ("leaf-threshold", "0.5", |c, _| {
+                c.pipeline.leaf_threshold = 0.5
+            }),
+            ("k", "6", |c, _| c.pipeline.k = 6),
+            ("window", "4", |c, _| c.forecast_window = 4),
+            ("log-json", "true", |c, _| c.log_json = true),
+            ("localize-deadline-ms", "250", |c, _| {
+                c.pipeline.localize_deadline = Some(Duration::from_millis(250))
+            }),
+            ("breaker-threshold", "2", |c, _| c.breaker_threshold = 2),
+            ("breaker-cooldown-ms", "1500", |c, _| {
+                c.breaker_cooldown = Duration::from_millis(1500)
+            }),
+            ("schema-drift-limit", "0", |c, _| c.schema_drift_limit = 0),
+            ("reorder-window", "5", |c, _| c.reorder_window = 5),
+            ("max-lateness-ms", "0", |c, _| {
+                c.max_lateness = Duration::ZERO
+            }),
+            ("intra-frame-threads", "3", |c, _| {
+                c.pipeline.localize_threads = 3
+            }),
+            ("detect", "true", |c, _| c.detect = true),
+            ("detect-threshold", "5.5", |c, _| c.detect_threshold = 5.5),
+            ("seasonal-period", "1440", |c, _| c.seasonal_period = 1440),
+            ("flight-recorder", "64", |c, _| {
+                c.flight_recorder_capacity = 64
+            }),
+            ("wal", "false", |c, _| c.wal = false),
+            ("wal-fsync", "true", |c, _| c.wal_fsync = true),
+            ("checkpoint-interval-ms", "500", |c, _| {
+                c.checkpoint_interval = Duration::from_millis(500)
+            }),
+            ("spool-max-bytes", "1048576", |c, _| {
+                c.spool_max_bytes = 1 << 20
+            }),
+            ("shutdown-deadline-ms", "5000", |c, _| {
+                c.shutdown_deadline = Duration::from_secs(5)
+            }),
+            ("workers", "3", |_, f| f.workers = 3),
+            ("park-capacity", "64", |_, f| f.park_capacity = 64),
+            ("request-deadline-ms", "2500", |_, f| {
+                f.request_deadline_ms = 2500
+            }),
+            ("worker-index", "1", |_, f| f.worker_index = Some(1)),
+        ]
+    }
+
+    /// The flags that differ between a fleet's processes: the router
+    /// keeps them, and the supervisor sets them per worker slot.
+    const PER_PROCESS: [&str; 7] = [
+        "listen",
+        "metrics-listen",
+        "spool",
+        "workers",
+        "park-capacity",
+        "request-deadline-ms",
+        "worker-index",
+    ];
+
+    #[test]
+    fn each_serve_flag_sets_exactly_its_own_setting() {
+        let bare = serve_settings(&["serve".to_string()]);
+        assert_eq!(bare, (service::ServiceConfig::default(), Fleet::default()));
+        let settings = every_serve_flag();
+        assert_eq!(settings.len(), 33);
+        for (flag, value, set) in settings {
+            let argv = ["serve".to_string(), format!("--{flag}"), value.to_string()];
+            let mut expected = (service::ServiceConfig::default(), Fleet::default());
+            set(&mut expected.0, &mut expected.1);
+            assert_ne!(expected, bare, "--{flag} {value} must not be a default");
+            assert_eq!(serve_settings(&argv), expected, "--{flag} {value}");
+        }
+    }
+
+    #[test]
+    fn fleet_workers_get_the_router_settings() {
+        let mut router_argv = vec!["serve".to_string()];
+        for (flag, value) in [
+            ("workers", "2"),
+            ("spool", "/tmp/pin-fleet"),
+            ("listen", "10.0.0.1:1"),
+            ("park-capacity", "64"),
+        ] {
+            router_argv.extend([format!("--{flag}"), value.to_string()]);
+        }
+        for (flag, value, _) in every_serve_flag() {
+            if !PER_PROCESS.contains(&flag) {
+                router_argv.extend([format!("--{flag}"), value.to_string()]);
+            }
+        }
+        let (router, _) = serve_settings(&router_argv);
+        let router_args = Args::parse(router_argv).expect("router line");
+
+        // what the supervisor appends for slot 0 (supervisor::spawn_worker)
+        let mut argv = worker_argv(serve_flags(&router_args));
+        for (flag, value) in [
+            ("--worker-index", "0"),
+            ("--workers", "0"),
+            ("--listen", "127.0.0.1:0"),
+            ("--metrics-listen", "127.0.0.1:0"),
+            ("--spool", "/tmp/pin-fleet/worker-0"),
+        ] {
+            argv.extend([flag.to_string(), value.to_string()]);
+        }
+        let (mut worker, fleet) = serve_settings(&argv);
+        assert_eq!(
+            fleet,
+            Fleet {
+                worker_index: Some(0),
+                ..Fleet::default()
+            }
+        );
+        assert_eq!(worker.listen, "127.0.0.1:0");
+        assert_eq!(worker.spool_dir, Some("/tmp/pin-fleet/worker-0".into()));
+        worker.listen = router.listen.clone();
+        worker.metrics_listen = router.metrics_listen.clone();
+        worker.spool_dir = router.spool_dir.clone();
+        assert_eq!(worker, router);
     }
 
     #[test]

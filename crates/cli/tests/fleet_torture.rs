@@ -12,7 +12,9 @@
 //!   nothing while the park buffer has room,
 //! * a live shard handoff moves a tenant between workers mid-stream with
 //!   incident output byte-identical to an uninterrupted single-process
-//!   run — no frame lost, none double-applied.
+//!   run — no frame lost, none double-applied,
+//! * a worker exits soon after its router is killed, so no orphan keeps
+//!   running on the fleet's spool.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader};
@@ -537,5 +539,39 @@ fn live_handoff_is_byte_identical_to_an_uninterrupted_run() {
         baseline_tokens.len(),
         "the handoff run must ack the same frames into incidents"
     );
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// The one-letter `State:` of process `pid` from `/proc/<pid>/status`;
+/// `None` once the pid is gone.
+#[cfg(target_os = "linux")]
+fn process_state(pid: u64) -> Option<char> {
+    let status = std::fs::read_to_string(format!("/proc/{pid}/status")).ok()?;
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("State:"))
+        .and_then(|state| state.trim().chars().next())
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn workers_exit_when_their_router_is_killed() {
+    let spool = temp_spool("router-kill");
+    let mut daemon = spawn(&spool, 1);
+    let mut client = Client::connect(&daemon.addr);
+    let pid = worker_pid(&mut client, 0).expect("worker 0 is up");
+    daemon.child.kill().expect("kill -9 the router");
+    daemon.child.wait().expect("reap the router");
+
+    // the worker sees its stdin close, drains, and exits; a zombie
+    // counts as exited, since the pid's new parent may never reap it
+    let until = Instant::now() + Duration::from_secs(10);
+    while !matches!(process_state(pid), None | Some('Z')) {
+        if Instant::now() >= until {
+            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+            panic!("worker {pid} still runs 10 s after its router was killed");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
     let _ = std::fs::remove_dir_all(&spool);
 }

@@ -5,6 +5,10 @@
 //! A reply written in two pieces (body, then newline) on a socket with
 //! Nagle's algorithm on waits for the client's delayed ACK, about 40 ms
 //! per reply, so a stalled reply path takes two seconds here.
+//!
+//! On Linux, 300 one-shot connections in sequence must also leave the
+//! daemon's memory map about as it was: a connection thread that is never
+//! joined keeps its stack mapped until shutdown.
 
 use std::io::{BufRead, BufReader};
 use std::net::TcpStream;
@@ -105,6 +109,59 @@ fn sequential_replies_do_not_wait_for_delayed_acks() {
         assert!(
             elapsed < Duration::from_secs(1),
             "{ROUND_TRIPS} stats round trips with --workers {workers} took {elapsed:?}"
+        );
+    }
+}
+
+/// Memory mappings of process `pid`: one line of `/proc/<pid>/maps` each.
+/// A connection thread that is never joined keeps its stack (and guard
+/// page) mapped, so leaked threads show up here one or two lines apiece.
+#[cfg(target_os = "linux")]
+fn mappings(pid: u32) -> usize {
+    std::fs::read_to_string(format!("/proc/{pid}/maps"))
+        .expect("read /proc/<pid>/maps")
+        .lines()
+        .count()
+}
+
+/// Open one connection, ask for `line`'s reply, and close it.
+#[cfg(target_os = "linux")]
+fn one_shot(addr: &str, line: &str) -> Json {
+    let mut writer = TcpStream::connect(addr).expect("connect to rapd");
+    proto::setup_stream(&writer, Some(Duration::from_secs(30))).expect("socket options");
+    let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
+    request(&mut writer, &mut reader, line)
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn closed_connections_release_their_memory() {
+    const CONNECTIONS: usize = 300;
+    for workers in [0, 1] {
+        let spool = std::env::temp_dir().join(format!(
+            "rapd-conn-release-{workers}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&spool);
+        let (mut child, addr) = spawn(&spool, workers);
+        // one connection first, so the baseline already holds whatever a
+        // first connection maps once (a fleet's worker link, allocator
+        // arenas, the first cached thread stack)
+        one_shot(&addr, r#"{"type":"stats"}"#);
+        let before = mappings(child.id());
+        for _ in 0..CONNECTIONS {
+            let reply = one_shot(&addr, r#"{"type":"stats"}"#);
+            assert_eq!(reply.get("type").and_then(Json::as_str), Some("stats"));
+        }
+        let after = mappings(child.id());
+        one_shot(&addr, r#"{"type":"shutdown"}"#);
+        let status = child.wait().expect("wait for rapd");
+        assert!(status.success(), "rapd drain exited with {status}");
+        let _ = std::fs::remove_dir_all(&spool);
+        assert!(
+            after < before + 100,
+            "{CONNECTIONS} closed connections with --workers {workers} grew the \
+             mappings from {before} to {after}"
         );
     }
 }

@@ -214,14 +214,9 @@ mod tests {
         }
     }
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn renders_span_ids_and_fields() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         crate::span::set_enabled(true);
         let buf = Arc::new(StdMutex::new(Vec::new()));
         install_sink(Box::new(Capture(buf.clone())));
@@ -252,7 +247,7 @@ mod tests {
 
     #[test]
     fn level_filter_drops_below_minimum() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         crate::span::set_enabled(true);
         let buf = Arc::new(StdMutex::new(Vec::new()));
         install_sink(Box::new(Capture(buf.clone())));
@@ -268,7 +263,7 @@ mod tests {
 
     #[test]
     fn event_enabled_mirrors_the_delivery_conditions() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         crate::span::set_enabled(true);
         remove_sink();
         set_min_level(Level::Info);
@@ -296,7 +291,7 @@ mod tests {
 
     #[test]
     fn frame_context_is_stamped_on_lines() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         crate::span::set_enabled(true);
         let buf = Arc::new(StdMutex::new(Vec::new()));
         install_sink(Box::new(Capture(buf.clone())));
@@ -319,7 +314,7 @@ mod tests {
 
     #[test]
     fn events_reach_the_flight_recorder_without_a_sink() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         crate::span::set_enabled(true);
         remove_sink();
         let _rec = crate::recorder::register("event-tee-test", 8);
@@ -335,7 +330,7 @@ mod tests {
 
     #[test]
     fn no_sink_is_a_quiet_no_op() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         remove_sink();
         // Must not panic or block.
         error("t", "nobody listening", &[("k", Value::from(1u64))]);

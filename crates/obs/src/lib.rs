@@ -62,12 +62,22 @@ pub fn timed<T>(name: &'static str, f: impl FnOnce() -> T) -> T {
     f()
 }
 
+/// Serializes the unit tests that touch process-global tracing state
+/// (the span ring, the enabled flag, the event sink): one gate for every
+/// module, since a span recorded by one test lands in another's ring.
+#[cfg(test)]
+pub(crate) fn test_gate() -> std::sync::MutexGuard<'static, ()> {
+    static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    GATE.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn timed_runs_closure_and_returns_value() {
+        let _gate = test_gate();
         set_enabled(true);
         let out = timed("obs.timed_test", || 41 + 1);
         assert_eq!(out, 42);

@@ -301,15 +301,9 @@ impl Drop for SpanGuard {
 mod tests {
     use super::*;
 
-    /// Serializes tests that touch the global ring/enabled flag.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn nesting_links_parent_and_trace_ids() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         clear_spans();
         set_enabled(true);
         {
@@ -340,7 +334,7 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_newest_first() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         clear_spans();
         set_enabled(true);
         set_ring_capacity(3);
@@ -355,7 +349,7 @@ mod tests {
 
     #[test]
     fn disabled_tracing_records_nothing() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         clear_spans();
         set_enabled(false);
         {
@@ -370,7 +364,7 @@ mod tests {
 
     #[test]
     fn spans_carry_the_open_frame_context() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         clear_spans();
         set_enabled(true);
         let id = crate::frame::FrameId::mint("edge");
@@ -398,7 +392,7 @@ mod tests {
 
     #[test]
     fn duplicate_field_keys_keep_last_value() {
-        let _gate = lock();
+        let _gate = crate::test_gate();
         clear_spans();
         set_enabled(true);
         {

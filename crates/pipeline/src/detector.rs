@@ -10,7 +10,6 @@
 //! runs the localizer, attaching severity and detection evidence to the
 //! [`IncidentReport`] and to the [`rapminer::LocalizationTrace`].
 
-use std::cell::Cell;
 use std::fmt;
 use std::time::Instant;
 
@@ -20,7 +19,7 @@ use mdkpi::{LeafFrame, Schema};
 use rapminer::TraceDetection;
 
 use crate::incident::{DetectionSummary, IncidentReport, StageTimings};
-use crate::stream::{ConfigError, PipelineConfig, PipelineError};
+use crate::stream::{localize_within, ConfigError, PipelineConfig, PipelineError};
 
 /// The detect-then-localize pipeline of one tenant: streaming detector
 /// plus localizer.
@@ -185,41 +184,8 @@ impl<L: Localizer> DetectingPipeline<L> {
         };
         let detect_seconds = detect_started.elapsed().as_secs_f64();
 
-        let localize_started = Instant::now();
-        let cancel_fired = Cell::new(false);
-        let explained = {
-            let localize_span = obs::span("pipeline.localize");
-            localize_span.record("method", self.localizer.name());
-            let explained = match self.config.localize_deadline {
-                Some(budget) => {
-                    let deadline = localize_started + budget;
-                    let cancel = || {
-                        if Instant::now() >= deadline {
-                            cancel_fired.set(true);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    self.localizer.localize_explained_with_cancel(
-                        &labelled,
-                        self.config.k,
-                        &cancel,
-                    )?
-                }
-                None => self
-                    .localizer
-                    .localize_explained(&labelled, self.config.k)?,
-            };
-            localize_span.record("raps", explained.results.len());
-            explained
-        };
-        let localize_seconds = localize_started.elapsed().as_secs_f64();
-        let deadline_exceeded = cancel_fired.get()
-            || self
-                .config
-                .localize_deadline
-                .is_some_and(|budget| localize_started.elapsed() >= budget);
+        let (explained, timings, deadline_exceeded) =
+            localize_within(&self.localizer, &labelled, &self.config, detection.step)?;
 
         let severity = detection.severity;
         let summary = severity.map(|severity| DetectionSummary {
@@ -227,11 +193,6 @@ impl<L: Localizer> DetectingPipeline<L> {
             severity,
             leaf_scores: detection.leaf_scores.clone(),
         });
-        let (cp_seconds, search_seconds) = explained
-            .trace
-            .as_ref()
-            .map(|t| (t.cp_seconds, t.search_seconds))
-            .unwrap_or((0.0, 0.0));
         let trace = explained.trace.map(|mut t| {
             t.detection = severity.map(|severity| TraceDetection {
                 severity: severity.as_str().to_string(),
@@ -249,9 +210,7 @@ impl<L: Localizer> DetectingPipeline<L> {
             timings: StageTimings {
                 detect_seconds,
                 detector_seconds: self.last_detector_seconds,
-                cp_seconds,
-                search_seconds,
-                localize_seconds,
+                ..timings
             },
             trace,
             deadline_exceeded,
@@ -505,5 +464,69 @@ mod tests {
             late < early * 8.0 + 1e-4,
             "per-frame cost grew with stream length: early {early:.6}s late {late:.6}s"
         );
+    }
+
+    #[test]
+    fn deadline_marks_slow_detection_and_keeps_pipeline_alive() {
+        // 30 ms per localization, polling the cancel hook once afterwards
+        // the way rapminer polls between lattice layers
+        #[derive(Debug)]
+        struct Slow;
+        impl Localizer for Slow {
+            fn name(&self) -> &'static str {
+                "slow"
+            }
+            fn localize(
+                &self,
+                frame: &LeafFrame,
+                _k: usize,
+            ) -> baselines::Result<Vec<baselines::ScoredCombination>> {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                Ok(vec![baselines::ScoredCombination {
+                    combination: mdkpi::Combination::root(frame.schema()),
+                    score: 1.0,
+                }])
+            }
+            fn localize_explained_with_cancel(
+                &self,
+                frame: &LeafFrame,
+                k: usize,
+                cancel: &dyn Fn() -> bool,
+            ) -> baselines::Result<baselines::Explained> {
+                std::thread::sleep(std::time::Duration::from_millis(30));
+                if cancel() {
+                    return Ok(baselines::Explained {
+                        results: Vec::new(),
+                        trace: None,
+                    });
+                }
+                self.localize_explained(frame, k)
+            }
+        }
+        let topology = CdnTopology::small(17);
+        let model = TrafficModel::new(topology, TrafficConfig::default(), 17);
+        let rap = heaviest_location(&model);
+        let config = PipelineConfig {
+            localize_deadline: Some(std::time::Duration::from_millis(5)),
+            ..PipelineConfig::default()
+        };
+        let mut p = DetectingPipeline::try_new(config, detector_config(), Slow).expect("valid");
+        for minute in 0..60 {
+            assert!(p.observe(&model.snapshot(minute)).expect("clean").is_none());
+        }
+        let mut frame = model.snapshot(60);
+        FailureInjector::new(0.5, 0.9).inject(&mut frame, std::slice::from_ref(&rap), 60);
+        let report = p
+            .observe(&frame)
+            .expect("anomalous frame")
+            .expect("detection still fires under deadline");
+        assert!(report.deadline_exceeded, "30ms localize vs 5ms budget");
+        assert!(report.raps.is_empty(), "cancelled before any layer");
+        assert!(report.severity.is_some(), "the detection evidence survives");
+        assert!(report.summary().contains("(deadline exceeded)"));
+        // the pipeline keeps observing normally afterwards
+        for minute in 61..70 {
+            p.observe(&model.snapshot(minute)).expect("clean frame");
+        }
     }
 }

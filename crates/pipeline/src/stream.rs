@@ -3,7 +3,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use baselines::Localizer;
+use baselines::{Explained, Localizer};
 use mdkpi::{ElementId, LeafFrame, Schema};
 use timeseries::{deviation, Ewma, Forecaster, SeasonalNaive};
 
@@ -439,71 +439,8 @@ impl<F: Forecaster, L: Localizer> LocalizationPipeline<F, L> {
         };
         let detect_seconds = detect_started.elapsed().as_secs_f64();
 
-        let localize_started = Instant::now();
-        let cancel_fired = Cell::new(false);
-        let explained = {
-            let localize_span = obs::span("pipeline.localize");
-            localize_span.record("method", self.localizer.name());
-            let explained = match self.config.localize_deadline {
-                Some(budget) => {
-                    let deadline = localize_started + budget;
-                    let cancel = || {
-                        if Instant::now() >= deadline {
-                            cancel_fired.set(true);
-                            true
-                        } else {
-                            false
-                        }
-                    };
-                    self.localizer.localize_explained_with_cancel(
-                        &labelled,
-                        self.config.k,
-                        &cancel,
-                    )?
-                }
-                None => self
-                    .localizer
-                    .localize_explained(&labelled, self.config.k)?,
-            };
-            localize_span.record("raps", explained.results.len());
-            explained
-        };
-        let localize_seconds = localize_started.elapsed().as_secs_f64();
-        // A localizer without preemption points never polls `cancel`, so
-        // also compare elapsed time against the budget directly.
-        let deadline_exceeded = cancel_fired.get()
-            || self
-                .config
-                .localize_deadline
-                .is_some_and(|budget| localize_started.elapsed() >= budget);
-        if deadline_exceeded {
-            obs::warn(
-                "pipeline",
-                "localize_deadline_exceeded",
-                &[
-                    ("step", obs::Value::from(self.steps)),
-                    (
-                        "budget_ms",
-                        obs::Value::from(
-                            self.config
-                                .localize_deadline
-                                .map(|d| d.as_millis() as u64)
-                                .unwrap_or(0),
-                        ),
-                    ),
-                    (
-                        "elapsed_ms",
-                        obs::Value::from(localize_started.elapsed().as_millis() as u64),
-                    ),
-                ],
-            );
-        }
-
-        let (cp_seconds, search_seconds) = explained
-            .trace
-            .as_ref()
-            .map(|t| (t.cp_seconds, t.search_seconds))
-            .unwrap_or((0.0, 0.0));
+        let (explained, timings, deadline_exceeded) =
+            localize_within(&self.localizer, &labelled, &self.config, self.steps)?;
         Ok(IncidentReport {
             step: self.steps,
             total_deviation: total_dev,
@@ -512,10 +449,7 @@ impl<F: Forecaster, L: Localizer> LocalizationPipeline<F, L> {
             raps: explained.results,
             timings: StageTimings {
                 detect_seconds,
-                detector_seconds: 0.0,
-                cp_seconds,
-                search_seconds,
-                localize_seconds,
+                ..timings
             },
             trace: explained.trace,
             deadline_exceeded,
@@ -525,6 +459,75 @@ impl<F: Forecaster, L: Localizer> LocalizationPipeline<F, L> {
             frame_id: None,
         })
     }
+}
+
+/// Run `localizer` on an alarm's labelled frame under
+/// `config.localize_deadline`: the step both pipelines share once the
+/// frame is labelled. The deadline counts as exceeded when the localizer
+/// polled its cancel hook past it or, for a localizer without preemption
+/// points, when the call simply took longer; either way the overrun is
+/// logged as `pipeline`/`localize_deadline_exceeded` with `step`. Returns
+/// the results, the localize stages' timings (the detect stages left at
+/// zero), and whether the deadline was exceeded.
+pub(crate) fn localize_within<L: Localizer>(
+    localizer: &L,
+    labelled: &LeafFrame,
+    config: &PipelineConfig,
+    step: usize,
+) -> Result<(Explained, StageTimings, bool), PipelineError> {
+    let started = Instant::now();
+    let cancel_fired = Cell::new(false);
+    let explained = {
+        let localize_span = obs::span("pipeline.localize");
+        localize_span.record("method", localizer.name());
+        let explained = match config.localize_deadline {
+            Some(budget) => {
+                let deadline = started + budget;
+                let cancel = || {
+                    if Instant::now() >= deadline {
+                        cancel_fired.set(true);
+                        true
+                    } else {
+                        false
+                    }
+                };
+                localizer.localize_explained_with_cancel(labelled, config.k, &cancel)?
+            }
+            None => localizer.localize_explained(labelled, config.k)?,
+        };
+        localize_span.record("raps", explained.results.len());
+        explained
+    };
+    let elapsed = started.elapsed();
+    let deadline_exceeded = cancel_fired.get()
+        || config
+            .localize_deadline
+            .is_some_and(|budget| elapsed >= budget);
+    if deadline_exceeded {
+        obs::warn(
+            "pipeline",
+            "localize_deadline_exceeded",
+            &[
+                ("step", obs::Value::from(step)),
+                (
+                    "budget_ms",
+                    obs::Value::from(config.localize_deadline.map_or(0, |d| d.as_millis() as u64)),
+                ),
+                ("elapsed_ms", obs::Value::from(elapsed.as_millis() as u64)),
+            ],
+        );
+    }
+    let (cp_seconds, search_seconds) = explained
+        .trace
+        .as_ref()
+        .map_or((0.0, 0.0), |t| (t.cp_seconds, t.search_seconds));
+    let timings = StageTimings {
+        cp_seconds,
+        search_seconds,
+        localize_seconds: elapsed.as_secs_f64(),
+        ..StageTimings::default()
+    };
+    Ok((explained, timings, deadline_exceeded))
 }
 
 impl<F: fmt::Debug, L: fmt::Debug> fmt::Debug for LocalizationPipeline<F, L> {

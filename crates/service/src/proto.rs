@@ -29,8 +29,10 @@
 
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mdkpi::{ElementId, LeafFrame, Schema};
@@ -603,6 +605,101 @@ pub(crate) fn serve_lines(
             return;
         }
         line.clear();
+    }
+}
+
+/// One rapd front door: a bound TCP listener whose accept thread serves
+/// each connection on a thread of its own. The single-process daemon, a
+/// fleet worker and the fleet router differ only in the per-connection
+/// function, which gets the stream and the listener's stop flag.
+///
+/// A finished connection's thread is joined at the next accept, so a
+/// closed connection keeps no thread stack mapped. Stopping sets the flag,
+/// wakes the accept with a self-connect, and joins the accept thread and
+/// every connection thread; each connection polls the flag between reads.
+pub(crate) struct Listener {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+}
+
+impl Listener {
+    /// Bind `addr` (port 0 picks a free port) and serve each accepted
+    /// connection with `serve`. `name` prefixes the thread names.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the address cannot be bound or the accept thread cannot
+    /// be spawned.
+    pub(crate) fn bind<F>(addr: &str, name: &str, serve: F) -> io::Result<Listener>
+    where
+        F: Fn(TcpStream, &AtomicBool) + Send + Sync + 'static,
+    {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let flag = Arc::clone(&stop);
+        let serve = Arc::new(serve);
+        let conn_name = format!("{name}-conn");
+        let accept = std::thread::Builder::new()
+            .name(format!("{name}-accept"))
+            .spawn(move || {
+                let mut conns: Vec<JoinHandle<()>> = Vec::new();
+                for conn in listener.incoming() {
+                    if flag.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    for done in conns.extract_if(.., |c| c.is_finished()) {
+                        let _ = done.join();
+                    }
+                    let Ok(stream) = conn else { continue };
+                    let (serve, flag) = (Arc::clone(&serve), Arc::clone(&flag));
+                    let spawned = std::thread::Builder::new()
+                        .name(conn_name.clone())
+                        .spawn(move || serve(stream, &flag));
+                    match spawned {
+                        Ok(handle) => conns.push(handle),
+                        Err(e) => obs::warn(
+                            "rapd.listener",
+                            "connection_thread_spawn_failed",
+                            &[
+                                ("listener", obs::Value::Str(conn_name.clone())),
+                                ("error", obs::Value::Str(e.to_string())),
+                            ],
+                        ),
+                    }
+                }
+                for conn in conns {
+                    let _ = conn.join();
+                }
+            })?;
+        Ok(Listener {
+            addr,
+            stop,
+            accept: Some(accept),
+        })
+    }
+
+    /// The bound address (useful with port 0).
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Stop accepting and join every thread; later calls do nothing.
+    pub(crate) fn stop(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::SeqCst);
+        // unblock accept() with one throwaway connection
+        let _ = TcpStream::connect(self.addr);
+        let _ = accept.join();
+    }
+}
+
+impl Drop for Listener {
+    fn drop(&mut self) {
+        self.stop();
     }
 }
 

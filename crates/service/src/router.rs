@@ -39,7 +39,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -51,7 +51,8 @@ use crate::http::MetricsServer;
 use crate::json::{parse, Json};
 use crate::metrics::{Metrics, RouterMetrics};
 use crate::proto::{
-    self, parse_request, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION, WIRE_VERSION,
+    self, parse_request, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION,
+    WIRE_VERSION,
 };
 use crate::retry::Backoff;
 use crate::server::DrainGate;
@@ -91,25 +92,25 @@ pub struct RouterConfig {
 }
 
 /// Handle on a running router (and its supervised worker fleet).
+/// Dropping it (or calling [`RouterHandle::shutdown`]) closes the front
+/// door, stops the pump, tears down the fleet, and stops `/metrics` last.
 pub struct RouterHandle {
-    ingest_addr: SocketAddr,
-    metrics_addr: SocketAddr,
+    listener: Listener,
     inner: Arc<Router>,
-    accept: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     pump: Option<JoinHandle<()>>,
-    metrics_server: Option<MetricsServer>,
+    // declared last: fields drop after `Drop::drop`
+    metrics_server: MetricsServer,
 }
 
 impl RouterHandle {
     /// The bound client-facing address.
     pub fn ingest_addr(&self) -> SocketAddr {
-        self.ingest_addr
+        self.listener.addr()
     }
 
     /// The bound router metrics address.
     pub fn metrics_addr(&self) -> SocketAddr {
-        self.metrics_addr
+        self.metrics_server.addr()
     }
 
     /// Park until a `shutdown` verb drains the fleet; returns whether
@@ -121,35 +122,21 @@ impl RouterHandle {
 
     /// Stop the router: close the front door, stop the pump, and tear
     /// down the worker fleet (killing workers still running).
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.ingest_addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let readers: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_recover(&self.readers));
-        for reader in readers {
-            let _ = reader.join();
-        }
-        if let Some(pump) = self.pump.take() {
-            let _ = pump.join();
-        }
-        self.inner.supervisor.shutdown(Duration::from_secs(2));
-        if let Some(metrics) = self.metrics_server.take() {
-            metrics.shutdown();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl Drop for RouterHandle {
     fn drop(&mut self) {
-        if self.accept.is_some() || self.pump.is_some() {
-            self.stop();
+        // abandon in-flight worker requests first, so the front door's
+        // connections see the listener's stop flag promptly
+        self.inner.shutdown.store(true, Ordering::SeqCst);
+        self.listener.stop();
+        if let Some(pump) = self.pump.take() {
+            let _ = pump.join();
         }
+        self.inner.supervisor.shutdown(Duration::from_secs(2));
     }
 }
 
@@ -187,6 +174,8 @@ struct Router {
     /// schema to the target before the WAL suffix.
     schemas: Mutex<HashMap<String, String>>,
     metrics: Arc<RouterMetrics>,
+    /// Set when the handle drops: stops the pump and abandons in-flight
+    /// router→worker calls.
     shutdown: AtomicBool,
     drain: DrainGate,
 }
@@ -195,13 +184,21 @@ struct Router {
 ///
 /// # Errors
 ///
-/// Configuration errors (zero workers), worker spawn/announce failures,
-/// and listener bind failures.
+/// Configuration errors (zero workers, a zero request deadline), worker
+/// spawn/announce failures, and listener bind failures.
 pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
     if config.workers == 0 {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "a fleet needs at least one worker (--workers)",
+        ));
+    }
+    if config.request_deadline.is_zero() {
+        // every router→worker call would expire before its connect, so
+        // the fleet would park each frame and never forward one
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a fleet needs a positive request deadline (--request-deadline-ms)",
         ));
     }
     let metrics = Arc::new(RouterMetrics::new(config.workers));
@@ -211,8 +208,6 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         spool_root: config.spool_dir.clone(),
     };
     let supervisor = Supervisor::start(command, config.workers, Arc::clone(&metrics))?;
-    let listener = TcpListener::bind(&config.listen)?;
-    let ingest_addr = listener.local_addr()?;
     let metrics_server = {
         let metrics = Arc::clone(&metrics);
         MetricsServer::start_rendered(
@@ -227,6 +222,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         })
         .collect();
     let ring = Ring::new(config.workers);
+    let listen = config.listen.clone();
     let router = Arc::new(Router {
         config,
         supervisor,
@@ -238,27 +234,11 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         shutdown: AtomicBool::new(false),
         drain: DrainGate::default(),
     });
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-    let accept = {
+    let listener = {
         let router = Arc::clone(&router);
-        let readers = Arc::clone(&readers);
-        std::thread::Builder::new()
-            .name("rapd-router-accept".to_string())
-            .spawn(move || {
-                for conn in listener.incoming() {
-                    if router.shutdown.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    let router = Arc::clone(&router);
-                    let spawned = std::thread::Builder::new()
-                        .name("rapd-router-conn".to_string())
-                        .spawn(move || handle_client(stream, &router));
-                    if let Ok(handle) = spawned {
-                        lock_recover(&readers).push(handle);
-                    }
-                }
-            })?
+        Listener::bind(&listen, "rapd-router", move |stream, stop| {
+            handle_client(stream, &router, stop)
+        })?
     };
     let pump = {
         let router = Arc::clone(&router);
@@ -274,13 +254,10 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
             })?
     };
     Ok(RouterHandle {
-        ingest_addr,
-        metrics_addr: metrics_server.addr(),
+        listener,
         inner: router,
-        accept: Some(accept),
-        readers,
         pump: Some(pump),
-        metrics_server: Some(metrics_server),
+        metrics_server,
     })
 }
 
@@ -590,11 +567,11 @@ fn wire_call(
 // The client-facing NDJSON front door
 // ---------------------------------------------------------------------
 
-fn handle_client(stream: TcpStream, router: &Router) {
+fn handle_client(stream: TcpStream, router: &Router, stop: &AtomicBool) {
     proto::serve_lines(
         stream,
         router.config.max_frame_bytes,
-        &router.shutdown,
+        stop,
         &router.metrics.protocol_errors,
         |line| dispatch_router(line, router),
     );
@@ -1113,6 +1090,8 @@ fn render_observe(entry: &wal::WalEntry) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::net::TcpListener;
+
     use super::*;
 
     #[test]
@@ -1135,6 +1114,29 @@ mod tests {
             "a refused connect held the lane for {:?}",
             start.elapsed()
         );
+    }
+
+    #[test]
+    fn a_zero_request_deadline_is_refused_before_any_worker_spawns() {
+        let config = RouterConfig {
+            listen: "127.0.0.1:0".to_string(),
+            metrics_listen: "127.0.0.1:0".to_string(),
+            workers: 1,
+            spool_dir: std::env::temp_dir().join("rapd-router-zero-deadline"),
+            max_frame_bytes: 1 << 20,
+            park_capacity: 8,
+            request_deadline: Duration::ZERO,
+            shutdown_deadline: Duration::from_secs(1),
+            // spawning this would fail with NotFound, not InvalidInput
+            worker_exe: PathBuf::from("/nonexistent/rapd-worker"),
+            worker_args: vec!["serve".to_string()],
+        };
+        let err = match start_router(config) {
+            Err(e) => e,
+            Ok(_) => panic!("a zero request deadline must be refused"),
+        };
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        assert!(err.to_string().contains("request deadline"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Thread model (see DESIGN.md for the full diagram):
 //!
 //! ```text
-//! clients ──TCP──▶ accept loop ──▶ reader thread per connection
+//! clients ──TCP──▶ proto::Listener ──▶ thread per connection
 //!                                     │  parse NDJSON, resolve schema
 //!                                     ▼
 //!                        bounded shard queues (drop-oldest)
@@ -19,10 +19,9 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
 use mdkpi::Schema;
@@ -34,7 +33,7 @@ use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::http::MetricsServer;
 use crate::json::Json;
 use crate::metrics::{build_version, Metrics};
-use crate::proto::{build_frame, parse_request, serve_lines, ProtoError, Request};
+use crate::proto::{build_frame, parse_request, serve_lines, Listener, ProtoError, Request};
 use crate::quarantine::{QuarantineRecord, QuarantineSink};
 use crate::shard::{LocalizerFactory, ShardPool, TenantDebug};
 use crate::sink::IncidentSink;
@@ -100,7 +99,6 @@ pub(crate) struct Shared {
     pub(crate) drain: DrainGate,
     /// Boot instant, for the uptime reported by `stats` and `debug`.
     pub(crate) started: Instant,
-    pub(crate) shutdown: AtomicBool,
 }
 
 /// A one-shot latch the serve loop parks on until a `shutdown` control
@@ -134,28 +132,26 @@ impl DrainGate {
     }
 }
 
-/// A running rapd daemon. Dropping (or calling [`ServerHandle::shutdown`])
-/// stops the listeners, drains the shards, and joins every thread.
+/// A running rapd daemon — single-process or fleet worker. Dropping (or
+/// calling [`ServerHandle::shutdown`]) stops the listener, drains the
+/// shards, joins every thread, and stops `/metrics` last.
 pub struct ServerHandle {
-    ingest_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    metrics_server: Option<MetricsServer>,
+    listener: Listener,
+    pub(crate) shared: Arc<Shared>,
+    // declared last: fields drop after `Drop::drop`, so /metrics stays up
+    // until the shards have drained
+    metrics_server: MetricsServer,
 }
 
 impl ServerHandle {
-    /// The bound NDJSON ingest/control address (useful with port 0).
+    /// The bound ingest/control address (useful with port 0).
     pub fn ingest_addr(&self) -> SocketAddr {
-        self.ingest_addr
+        self.listener.addr()
     }
 
     /// The bound Prometheus `/metrics` address.
     pub fn metrics_addr(&self) -> SocketAddr {
-        self.metrics_server
-            .as_ref()
-            .expect("metrics server runs until shutdown")
-            .addr()
+        self.metrics_server.addr()
     }
 
     /// The daemon's counters (shared with the workers).
@@ -174,8 +170,8 @@ impl ServerHandle {
     }
 
     /// Stop listeners, drain shard queues, and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop();
+    pub fn shutdown(self) {
+        drop(self);
     }
 
     /// Block until a `shutdown` control verb has flushed and checkpointed
@@ -187,44 +183,24 @@ impl ServerHandle {
     pub fn wait_for_drain(&self) -> bool {
         self.shared.drain.wait()
     }
+}
 
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // unblock accept() with one throwaway connection
-        let _ = TcpStream::connect(self.ingest_addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let readers: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_recover(&self.readers));
-        for reader in readers {
-            let _ = reader.join();
-        }
+impl Drop for ServerHandle {
+    fn drop(&mut self) {
+        self.listener.stop();
         // Graceful exits checkpoint after the last frame: the jobs queue
         // behind anything still in flight, so the snapshots cover it.
         if self.shared.checkpoints.is_some() {
             self.shared.pool.checkpoint_all(FLUSH_TIMEOUT);
         }
         self.shared.pool.shutdown();
-        if let Some(metrics_server) = self.metrics_server.take() {
-            metrics_server.shutdown();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.stop();
-        }
     }
 }
 
 /// Boot the daemon core shared by every serving mode: validate the
 /// config, open the spools/WAL/checkpoint store, start the shard pool,
-/// run crash recovery, and start the metrics listener. The ingest
-/// listener is the caller's job — [`start`] binds the public NDJSON
-/// listener, [`crate::worker::start_worker`] a framed fleet listener.
-pub(crate) fn boot(
+/// run crash recovery, and start the metrics listener.
+fn boot(
     config: ServiceConfig,
     factory: LocalizerFactory,
 ) -> Result<(Arc<Shared>, MetricsServer), StartError> {
@@ -291,9 +267,30 @@ pub(crate) fn boot(
         recovered_max_seq: recovery.max_seq,
         drain: DrainGate::default(),
         started: Instant::now(),
-        shutdown: AtomicBool::new(false),
     });
     Ok((shared, metrics_server))
+}
+
+/// Boot the daemon core and serve `config.listen` through one
+/// [`Listener`] whose connections run `serve`: [`start`] speaks NDJSON,
+/// [`crate::worker::start_worker`] the framed fleet wire. `name` prefixes
+/// the listener's thread names.
+pub(crate) fn serve_with(
+    config: ServiceConfig,
+    factory: LocalizerFactory,
+    name: &str,
+    serve: impl Fn(TcpStream, &Shared, &AtomicBool) + Send + Sync + 'static,
+) -> Result<ServerHandle, StartError> {
+    let (shared, metrics_server) = boot(config, factory)?;
+    let conn_shared = Arc::clone(&shared);
+    let listener = Listener::bind(&shared.config.listen, name, move |stream, stop| {
+        serve(stream, &conn_shared, stop)
+    })?;
+    Ok(ServerHandle {
+        listener,
+        shared,
+        metrics_server,
+    })
 }
 
 /// Boot the daemon: validate the config, open the spool, start the shard
@@ -304,38 +301,7 @@ pub(crate) fn boot(
 /// [`StartError::Config`] for an invalid [`ServiceConfig`],
 /// [`StartError::Io`] when a listener or the spool cannot be created.
 pub fn start(config: ServiceConfig, factory: LocalizerFactory) -> Result<ServerHandle, StartError> {
-    let (shared, metrics_server) = boot(config, factory)?;
-    let listener = TcpListener::bind(&shared.config.listen)?;
-    let ingest_addr = listener.local_addr()?;
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_readers = Arc::clone(&readers);
-    let accept = std::thread::Builder::new()
-        .name("rapd-accept".to_string())
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if accept_shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let Ok(stream) = conn else { continue };
-                let conn_shared = Arc::clone(&accept_shared);
-                let reader = std::thread::Builder::new()
-                    .name("rapd-reader".to_string())
-                    .spawn(move || handle_connection(stream, &conn_shared));
-                if let Ok(handle) = reader {
-                    lock_recover(&accept_readers).push(handle);
-                }
-            }
-        })?;
-
-    Ok(ServerHandle {
-        ingest_addr,
-        shared,
-        accept: Some(accept),
-        readers,
-        metrics_server: Some(metrics_server),
-    })
+    serve_with(config, factory, "rapd", handle_connection)
 }
 
 /// Everything boot-time crash recovery reconstructs for the daemon core.
@@ -454,10 +420,10 @@ fn recover_state(
 }
 
 /// Serve one NDJSON client connection against the daemon core.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
+fn handle_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) {
     let protocol_errors = &shared.metrics.protocol_errors;
     let max = shared.config.max_frame_bytes;
-    serve_lines(stream, max, &shared.shutdown, protocol_errors, |line| {
+    serve_lines(stream, max, stop, protocol_errors, |line| {
         dispatch(line, shared, None).unwrap_or_else(|e| {
             protocol_errors.fetch_add(1, Ordering::Relaxed);
             obs::warn(
@@ -673,29 +639,7 @@ pub(crate) fn dispatch(
         Request::Health => Ok(health_reply(shared)),
         Request::Debug { tenant } => Ok(debug_reply(shared, tenant.as_deref())),
         Request::Shutdown => {
-            obs::info("rapd.server", "drain_requested", &[]);
-            // Drain order matters: the flush barrier empties the reorder
-            // buffers through the pipelines, then the checkpoint snapshots
-            // the post-drain state (fsynced by the store), so a restart
-            // resumes exactly where this run stopped. Both steps are
-            // bounded by the shutdown deadline: a wedged shard must not
-            // hang the drain forever — on overrun, checkpoint whatever
-            // drained, log the stragglers, and report the drain unclean.
-            let deadline = shared.config.shutdown_deadline;
-            let flushed = shared.pool.flush(deadline);
-            if !flushed {
-                let depths = shared.pool.queue_depths();
-                obs::warn(
-                    "rapd.server",
-                    "drain_deadline_exceeded",
-                    &[
-                        ("deadline_ms", obs::Value::U64(deadline.as_millis() as u64)),
-                        ("queue_depths", obs::Value::Str(format!("{depths:?}"))),
-                    ],
-                );
-            }
-            let checkpointed = shared.pool.checkpoint_all(deadline);
-            shared.drain.signal(flushed && checkpointed);
+            let (flushed, checkpointed) = drain(shared);
             Ok(ok_reply(vec![
                 ("draining".to_string(), Json::Bool(true)),
                 ("flushed".to_string(), Json::Bool(flushed)),
@@ -725,6 +669,34 @@ pub(crate) fn dispatch(
         ])
         .render()),
     }
+}
+
+/// The graceful drain behind the `shutdown` verb, also run by a fleet
+/// worker whose router went away. Order matters: the flush barrier
+/// empties the reorder buffers through the pipelines, then the
+/// checkpoint snapshots the post-drain state (fsynced by the store), so a
+/// restart resumes exactly where this run stopped. Both steps are bounded
+/// by the shutdown deadline: a wedged shard must not hang the drain
+/// forever — on overrun, checkpoint whatever drained, log the stragglers,
+/// and latch the drain unclean. Returns `(flushed, checkpointed)`.
+pub(crate) fn drain(shared: &Shared) -> (bool, bool) {
+    obs::info("rapd.server", "drain_requested", &[]);
+    let deadline = shared.config.shutdown_deadline;
+    let flushed = shared.pool.flush(deadline);
+    if !flushed {
+        let depths = shared.pool.queue_depths();
+        obs::warn(
+            "rapd.server",
+            "drain_deadline_exceeded",
+            &[
+                ("deadline_ms", obs::Value::U64(deadline.as_millis() as u64)),
+                ("queue_depths", obs::Value::Str(format!("{depths:?}"))),
+            ],
+        );
+    }
+    let checkpointed = shared.pool.checkpoint_all(deadline);
+    shared.drain.signal(flushed && checkpointed);
+    (flushed, checkpointed)
 }
 
 /// Checkpoint staleness in seconds, from the newest snapshot write across

@@ -20,7 +20,10 @@
 //!   from its spool before announcing;
 //! * on shutdown stops respawning first (so drained workers exiting are
 //!   not mistaken for crashes), then waits out a deadline before killing
-//!   stragglers.
+//!   stragglers;
+//! * ties each worker's lifetime to the router's: a worker's stdin is a
+//!   pipe whose write end only the router holds, so if the router dies —
+//!   even by `kill -9` — every worker reads end-of-file, drains, and exits.
 
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
@@ -257,7 +260,9 @@ fn spawn_worker(command: &WorkerCommand, index: usize) -> std::io::Result<Spawne
         .arg("127.0.0.1:0")
         .arg("--spool")
         .arg(&spool)
-        .stdin(Stdio::null())
+        // never written: the pipe closes when this process dies, and the
+        // worker drains and exits on that end-of-file
+        .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()?;

@@ -17,97 +17,23 @@
 //! respawned worker replays its spool, re-announces, and the router
 //! redelivers anything that was in flight (deduplicated by the worker's
 //! per-tenant sequence watermark).
+//!
+//! A worker never outlives its router: its stdin is a pipe the supervisor
+//! holds and never writes to, and end-of-file on it (the router died)
+//! drains the worker as the `shutdown` verb does and ends the process.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::io::{self, Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 
 use crate::config::ServiceConfig;
-use crate::http::MetricsServer;
 use crate::proto::{
     hello_ack_frame, negotiate_hello, read_wire_frame, setup_stream, write_wire_frame,
     WireEnvelope, WireRead, READ_POLL, WIRE_VERSION,
 };
-use crate::server::{boot, dispatch, Shared, StartError};
+use crate::server::{dispatch, drain, serve_with, ServerHandle, Shared, StartError};
 use crate::shard::LocalizerFactory;
-use crate::sync::lock_recover;
-
-/// A running fleet worker. Dropping (or calling [`WorkerHandle::shutdown`])
-/// stops the listener, drains the shards, and joins every thread.
-pub struct WorkerHandle {
-    index: usize,
-    listen_addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    metrics_server: Option<MetricsServer>,
-}
-
-impl WorkerHandle {
-    /// The bound framed-wire listener address (workers bind port 0).
-    pub fn listen_addr(&self) -> SocketAddr {
-        self.listen_addr
-    }
-
-    /// The bound Prometheus `/metrics` address.
-    pub fn metrics_addr(&self) -> SocketAddr {
-        self.metrics_server
-            .as_ref()
-            .expect("metrics server runs until shutdown")
-            .addr()
-    }
-
-    /// The one-line stdout announce the supervisor parses: the worker
-    /// index, bound address, wire version, and the highest frame sequence
-    /// this worker's crash recovery saw.
-    pub fn announce_line(&self) -> String {
-        format!(
-            "rapd-worker {} listening on {} wire {} seq {}",
-            self.index, self.listen_addr, WIRE_VERSION, self.shared.recovered_max_seq
-        )
-    }
-
-    /// Block until a `shutdown` verb (fanned out by the router) drains
-    /// this worker. Returns whether the drain was clean.
-    pub fn wait_for_drain(&self) -> bool {
-        self.shared.drain.wait()
-    }
-
-    /// Stop the listener, drain shard queues, and join every thread.
-    pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(self.listen_addr);
-        if let Some(accept) = self.accept.take() {
-            let _ = accept.join();
-        }
-        let readers: Vec<JoinHandle<()>> = std::mem::take(&mut *lock_recover(&self.readers));
-        for reader in readers {
-            let _ = reader.join();
-        }
-        if self.shared.checkpoints.is_some() {
-            self.shared.pool.checkpoint_all(Duration::from_secs(60));
-        }
-        self.shared.pool.shutdown();
-        if let Some(metrics_server) = self.metrics_server.take() {
-            metrics_server.shutdown();
-        }
-    }
-}
-
-impl Drop for WorkerHandle {
-    fn drop(&mut self) {
-        if self.accept.is_some() {
-            self.stop();
-        }
-    }
-}
 
 /// Boot one fleet worker: the full rapd core on `config` (spool, WAL,
 /// checkpoints, recovery) behind a framed wire listener on
@@ -121,44 +47,26 @@ pub fn start_worker(
     config: ServiceConfig,
     factory: LocalizerFactory,
     index: usize,
-) -> Result<WorkerHandle, StartError> {
-    let (shared, metrics_server) = boot(config, factory)?;
-    let listener = TcpListener::bind(&shared.config.listen)?;
-    let listen_addr = listener.local_addr()?;
-    let readers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-    let accept_shared = Arc::clone(&shared);
-    let accept_readers = Arc::clone(&readers);
-    let accept = std::thread::Builder::new()
-        .name(format!("rapd-worker-{index}-accept"))
-        .spawn(move || {
-            for conn in listener.incoming() {
-                if accept_shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let Ok(stream) = conn else { continue };
-                let conn_shared = Arc::clone(&accept_shared);
-                let reader = std::thread::Builder::new()
-                    .name(format!("rapd-worker-{index}-conn"))
-                    .spawn(move || serve_connection(stream, &conn_shared, index));
-                if let Ok(handle) = reader {
-                    lock_recover(&accept_readers).push(handle);
-                }
-            }
-        })?;
-
-    Ok(WorkerHandle {
-        index,
-        listen_addr,
-        shared,
-        accept: Some(accept),
-        readers,
-        metrics_server: Some(metrics_server),
+) -> Result<ServerHandle, StartError> {
+    let name = format!("rapd-worker-{index}");
+    serve_with(config, factory, &name, move |stream, shared, stop| {
+        serve_connection(stream, shared, stop, index)
     })
 }
 
+/// The one-line stdout announce the supervisor parses: the worker index,
+/// bound address, wire version, and the highest frame sequence this
+/// worker's crash recovery saw.
+pub fn announce_line(index: usize, worker: &ServerHandle) -> String {
+    format!(
+        "rapd-worker {index} listening on {} wire {WIRE_VERSION} seq {}",
+        worker.ingest_addr(),
+        worker.shared.recovered_max_seq
+    )
+}
+
 /// Serve one router connection: handshake, then one envelope per frame.
-fn serve_connection(stream: TcpStream, shared: &Shared, index: usize) {
+fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool, index: usize) {
     if setup_stream(&stream, Some(READ_POLL)).is_err() {
         return;
     }
@@ -167,7 +75,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared, index: usize) {
     };
     let mut reader = stream;
     let max = shared.config.max_frame_bytes.saturating_add(4096);
-    let keep_waiting = || !shared.shutdown.load(Ordering::SeqCst);
+    let keep_waiting = || !stop.load(Ordering::SeqCst);
 
     // The first frame must be a hello; anything else gets an error frame
     // and a close, so a misdirected NDJSON client fails fast and loudly.
@@ -232,19 +140,50 @@ fn envelope_reply(payload: &str, shared: &Shared) -> String {
 /// the drain. Returns whether the drain was clean (the process should
 /// exit nonzero otherwise).
 ///
+/// The supervisor holds the write end of the worker's stdin and never
+/// writes to it, so end-of-file there means the router is gone (killed,
+/// or exited without draining its fleet). The worker then drains as the
+/// `shutdown` verb does and exits: it never outlives its router, so a
+/// restarted router cannot meet it on the same spool.
+///
 /// # Errors
 ///
-/// Any [`StartError`] from [`start_worker`].
+/// Any [`StartError`] from [`start_worker`], or the stdin watcher thread
+/// failing to spawn.
 pub fn run_worker(
     config: ServiceConfig,
     factory: LocalizerFactory,
     index: usize,
 ) -> Result<bool, StartError> {
+    // stdin's handle and buffer are allocated here, on the main thread:
+    // the watcher then never allocates, which would cost it an arena
+    let stdin = io::stdin();
     let worker = start_worker(config, factory, index)?;
     // the supervisor blocks on this exact line; flush so it never sits in
     // a stdio buffer while the supervisor times out
-    println!("{}", worker.announce_line());
+    println!("{}", announce_line(index, &worker));
     let _ = io::stdout().flush();
+    let shared = Arc::clone(&worker.shared);
+    // not joined: after a drain by the `shutdown` verb it stays blocked on
+    // stdin until the process exits
+    std::thread::Builder::new()
+        .name(format!("rapd-worker-{index}-stdin"))
+        .spawn(move || {
+            let mut byte = [0u8; 1];
+            loop {
+                match stdin.lock().read(&mut byte) {
+                    Ok(0) => break,
+                    Err(e) if e.kind() != io::ErrorKind::Interrupted => break,
+                    _ => {}
+                }
+            }
+            obs::warn(
+                "rapd.worker",
+                "router_gone",
+                &[("worker", obs::Value::U64(index as u64))],
+            );
+            drain(&shared);
+        })?;
     let clean = worker.wait_for_drain();
     worker.shutdown();
     Ok(clean)
@@ -252,6 +191,8 @@ pub fn run_worker(
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use crate::default_factory;
     use crate::proto::hello_frame;
@@ -285,11 +226,9 @@ mod tests {
     fn worker_speaks_the_framed_protocol_end_to_end() {
         let dir = scratch("e2e");
         let worker = start_worker(worker_config(&dir), default_factory(), 3).unwrap();
-        assert!(worker
-            .announce_line()
-            .starts_with("rapd-worker 3 listening on "));
+        assert!(announce_line(3, &worker).starts_with("rapd-worker 3 listening on "));
 
-        let mut conn = TcpStream::connect(worker.listen_addr()).unwrap();
+        let mut conn = TcpStream::connect(worker.ingest_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_millis(50))).ok();
         let ack = roundtrip(&mut conn, &hello_frame());
         assert!(ack.contains("\"worker\":3"), "ack: {ack}");
@@ -332,7 +271,7 @@ mod tests {
     fn worker_rejects_future_wire_versions() {
         let dir = scratch("ver");
         let worker = start_worker(worker_config(&dir), default_factory(), 0).unwrap();
-        let mut conn = TcpStream::connect(worker.listen_addr()).unwrap();
+        let mut conn = TcpStream::connect(worker.ingest_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_millis(50))).ok();
         let reply = roundtrip(&mut conn, "{\"type\":\"hello\",\"wire\":99}");
         assert!(reply.contains("unsupported wire version"), "got: {reply}");

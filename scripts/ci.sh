@@ -6,9 +6,13 @@
 #   2. cargo clippy -D warnings -- lint-clean across the whole workspace
 #   3. cargo build --release    -- the release artifacts must build
 #   4. cargo test -q            -- full test suite (unit + property + e2e)
-#   5. clippy unwrap gate       -- service/pipeline non-test code must not
-#                                  unwrap (fault-tolerance policy: recover
-#                                  or degrade, never panic the daemon)
+#   5. clippy unwrap gate       -- non-test code of the daemon and of
+#                                  every crate its shard workers run on
+#                                  each frame (service, pipeline, detect,
+#                                  obs, par, rapminer, mdkpi, baselines,
+#                                  timeseries) must not unwrap
+#                                  (fault-tolerance policy: recover or
+#                                  degrade, never panic the daemon)
 #   6. fault injection          -- the failpoint suite: rapd must survive
 #                                  injected panics, spool I/O errors, slow
 #                                  localizations, and worker deaths
@@ -186,7 +190,8 @@ step 1 "rustfmt" cargo fmt --all -- --check
 step 2 "clippy" cargo clippy --workspace --all-targets --offline -- -D warnings
 step 3 "build --release" cargo build --workspace --release --offline
 step 4 "test suite" cargo test --workspace -q --offline
-step 5 "unwrap gate" cargo clippy -p service -p pipeline --offline -- -D warnings -D clippy::unwrap_used
+step 5 "unwrap gate" cargo clippy -p service -p pipeline -p detect -p obs -p par \
+    -p rapminer -p mdkpi -p baselines -p timeseries --offline -- -D warnings -D clippy::unwrap_used
 step 6 "fault injection" cargo test -p service --features fail --offline -q --test fault_injection
 step 7 "dirty stream" cargo test -p rapminer-suite --offline -q --test dirty_stream
 step 8 "bench --no-run" cargo bench --workspace --offline --no-run
