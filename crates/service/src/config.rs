@@ -52,8 +52,12 @@ pub struct ServiceConfig {
     /// When the buffer overflows, the oldest frame is emitted regardless
     /// of the watermark. Frames without a timestamp bypass the buffer.
     pub reorder_window: usize,
-    /// How far behind the newest seen timestamp the watermark trails.
-    /// Frames older than `max(ts) − max_lateness` are quarantined as late.
+    /// How far behind the newest seen timestamp the watermark trails. A
+    /// buffered frame that is not the exact successor of the tenant's last
+    /// emitted frame (at its learned cadence) waits until the watermark,
+    /// `max(ts) − max_lateness`, passes it; a successor is released at
+    /// once. Frames behind the last emitted timestamp are quarantined as
+    /// late.
     pub max_lateness: Duration,
     /// Run the streaming detector in front of localization: tenants ingest
     /// *raw* (unlabelled) frames and rapd self-triggers localization when

@@ -86,6 +86,7 @@ pub(crate) mod segment;
 pub mod server;
 pub mod shard;
 pub mod sink;
+pub(crate) mod spool_lock;
 pub(crate) mod supervisor;
 pub(crate) mod sync;
 pub mod wal;

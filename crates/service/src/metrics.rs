@@ -434,6 +434,11 @@ families! {
         /// from the [`obs::FrameId`] ingest timestamp.
         pub e2e: Histogram => HISTOGRAM "rapd_e2e_seconds"
             "Ingest-to-incident latency measured from the frame's correlation ID.",
+        /// How long each timestamped frame waited in its tenant's reorder
+        /// buffer: from the shard worker's offer to its release, whether by
+        /// the successor rule, the watermark, a window overflow or a drain.
+        pub reorder_hold: Histogram => HISTOGRAM "rapd_reorder_hold_seconds"
+            "Time each timestamped frame waited in its tenant's reorder buffer.",
         /// Flight-recorder blackbox dumps written, by trigger.
         pub blackbox_dumps: BlackboxCounters => COUNTER "rapd_blackbox_dumps_total"
             "Flight-recorder blackbox dumps written, by trigger.",

@@ -20,6 +20,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::net::{SocketAddr, TcpStream};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime};
@@ -37,6 +38,7 @@ use crate::proto::{build_frame, parse_request, serve_lines, Listener, ProtoError
 use crate::quarantine::{QuarantineRecord, QuarantineSink};
 use crate::shard::{LocalizerFactory, ShardPool, TenantDebug};
 use crate::sink::IncidentSink;
+use crate::spool_lock::{SpoolLock, SPOOL_LOCK_WAIT};
 use crate::sync::{lock_recover, wait_recover};
 use crate::wal::{FrameWal, WalEntry};
 
@@ -51,6 +53,15 @@ pub enum StartError {
     Config(ServiceConfigError),
     /// A listener or the spool could not be set up.
     Io(io::Error),
+    /// Another process still held the spool directory's lock after
+    /// [`crate::spool_lock::SPOOL_LOCK_WAIT`].
+    SpoolLocked {
+        /// The contended spool directory.
+        spool: PathBuf,
+        /// The holder's pid as recorded in the lock file; `None` when the
+        /// file held no pid.
+        pid: Option<u32>,
+    },
 }
 
 impl fmt::Display for StartError {
@@ -58,6 +69,14 @@ impl fmt::Display for StartError {
         match self {
             StartError::Config(e) => write!(f, "invalid service config: {e}"),
             StartError::Io(e) => write!(f, "daemon startup failed: {e}"),
+            StartError::SpoolLocked { spool, pid } => {
+                let holder = pid.map_or_else(|| "pid unknown".to_string(), |p| format!("pid {p}"));
+                write!(
+                    f,
+                    "spool {} is held by another rapd ({holder})",
+                    spool.display()
+                )
+            }
         }
     }
 }
@@ -99,6 +118,9 @@ pub(crate) struct Shared {
     pub(crate) drain: DrainGate,
     /// Boot instant, for the uptime reported by `stats` and `debug`.
     pub(crate) started: Instant,
+    /// The spool directory's lock; declared last so it is released only
+    /// after everything above that writes the spool has been dropped.
+    _spool_lock: Option<SpoolLock>,
 }
 
 /// A one-shot latch the serve loop parks on until a `shutdown` control
@@ -198,8 +220,8 @@ impl Drop for ServerHandle {
 }
 
 /// Boot the daemon core shared by every serving mode: validate the
-/// config, open the spools/WAL/checkpoint store, start the shard pool,
-/// run crash recovery, and start the metrics listener.
+/// config, lock the spool, open the spools/WAL/checkpoint store, start
+/// the shard pool, run crash recovery, and start the metrics listener.
 fn boot(
     config: ServiceConfig,
     factory: LocalizerFactory,
@@ -210,6 +232,12 @@ fn boot(
         // replace it
         obs::install_sink(Box::new(io::stderr()));
     }
+    // one owner per spool: nothing below may open it while another
+    // process (a draining predecessor, or a second daemon) still does
+    let spool_lock = match &config.spool_dir {
+        Some(dir) => Some(SpoolLock::acquire(dir, SPOOL_LOCK_WAIT)?),
+        None => None,
+    };
     let metrics = Arc::new(Metrics::new(config.shards));
     let sink = Arc::new(IncidentSink::open(
         config.spool_dir.as_deref(),
@@ -267,6 +295,7 @@ fn boot(
         recovered_max_seq: recovery.max_seq,
         drain: DrainGate::default(),
         started: Instant::now(),
+        _spool_lock: spool_lock,
     });
     Ok((shared, metrics_server))
 }
@@ -873,6 +902,11 @@ fn tenant_debug_json(name: &str, d: &TenantDebug) -> Json {
                     },
                 ),
                 ("max_seen".to_string(), Json::Num(d.reorder_max_seen as f64)),
+                (
+                    "cadence".to_string(),
+                    d.reorder_cadence
+                        .map_or(Json::Null, |c| Json::Num(c as f64)),
+                ),
                 ("lag".to_string(), Json::Num(d.reorder_lag as f64)),
             ]),
         ),

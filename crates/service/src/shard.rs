@@ -35,16 +35,22 @@
 //! Frames that carry an event timestamp (`ts` on the observe message) go
 //! through a per-tenant reorder buffer before the pipeline. The buffer
 //! holds up to [`ServiceConfig::reorder_window`] frames and emits them in
-//! timestamp order once the watermark — the newest timestamp seen minus
-//! [`ServiceConfig::max_lateness`] — passes them. Frames behind the last
-//! emitted timestamp are quarantined as `late`; frames whose timestamp
-//! was already buffered or just emitted are quarantined as `replay`.
-//! Frames without a timestamp bypass the buffer entirely (arrival order).
-//! Flush barriers and shutdown drain every buffer first, so `flush`
-//! remains an exact fence and the `processed + dropped + shed +
-//! quarantined == ingested` invariant holds at every quiescent point.
-//! Known limitation: a worker that dies outside shutdown loses its
-//! buffered frames along with its queue, exactly like queued frames.
+//! timestamp order. A frame leaves the buffer the moment it is the exact
+//! successor of the last emitted frame (`ts == last_emitted + cadence`,
+//! the cadence learned as the GCD of the gaps between emitted
+//! timestamps), so an in-order stream is never held. Any other frame
+//! waits until the watermark — the newest timestamp seen minus
+//! [`ServiceConfig::max_lateness`] — passes it. Frames behind the last
+//! emitted timestamp are quarantined as `late` (including a frame finer
+//! than the learned cadence that lands between two released ones);
+//! frames whose timestamp was already buffered or just emitted are
+//! quarantined as `replay`. Frames without a timestamp bypass the buffer
+//! entirely (arrival order). Flush barriers and shutdown drain every
+//! buffer first, so `flush` remains an exact fence and the `processed +
+//! dropped + shed + quarantined == ingested` invariant holds at every
+//! quiescent point. Known limitation: a worker that dies outside shutdown
+//! loses its buffered frames along with its queue, exactly like queued
+//! frames.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::panic::AssertUnwindSafe;
@@ -339,6 +345,11 @@ struct ReorderBuffer<T> {
     last_emitted: Option<u64>,
     /// The newest timestamp ever offered (drives the watermark).
     max_seen: u64,
+    /// The tenant's learned cadence: the GCD of the gaps between
+    /// consecutively emitted timestamps. `None` until two frames have
+    /// been emitted, never `Some(0)`. Not checkpointed: a restored buffer
+    /// relearns it on its first release.
+    cadence: Option<u64>,
 }
 
 impl<T> Default for ReorderBuffer<T> {
@@ -347,14 +358,25 @@ impl<T> Default for ReorderBuffer<T> {
             buf: BTreeMap::new(),
             last_emitted: None,
             max_seen: 0,
+            cadence: None,
         }
     }
 }
 
+/// Greatest common divisor (Euclid).
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 impl<T> ReorderBuffer<T> {
-    /// Offer one timestamped frame. Returns the frames the watermark (or
-    /// a window overflow) released, oldest first — possibly none, and
-    /// possibly not including the offered frame itself.
+    /// Offer one timestamped frame. Returns the frames released, oldest
+    /// first — possibly none, and possibly not including the offered
+    /// frame itself. The oldest buffered frame is released while it is
+    /// the exact successor of the last emitted one (`last_emitted +
+    /// cadence`), the watermark has passed it, or the window overflows.
     ///
     /// # Errors
     ///
@@ -385,18 +407,22 @@ impl<T> ReorderBuffer<T> {
         let mut ready = Vec::new();
         loop {
             let overflowing = self.buf.len() > window;
+            let successor = self
+                .last_emitted
+                .zip(self.cadence)
+                .and_then(|(last, cadence)| last.checked_add(cadence));
             let Some(entry) = self.buf.first_entry() else {
                 break;
             };
-            // emit past the watermark in order; overflow past the window
-            // releases the oldest frame even if the watermark lags
-            if *entry.key() > watermark && !overflowing {
+            let ts = *entry.key();
+            // emit the in-order successor at once and anything past the
+            // watermark in order; overflow past the window releases the
+            // oldest frame even if the watermark lags
+            if ts > watermark && !overflowing && Some(ts) != successor {
                 break;
             }
             ready.push(entry.remove_entry());
-        }
-        if let Some((ts, _)) = ready.last() {
-            self.last_emitted = Some(*ts);
+            self.emitted(ts);
         }
         Ok(ready)
     }
@@ -404,10 +430,23 @@ impl<T> ReorderBuffer<T> {
     /// Release everything still buffered, oldest first (flush/shutdown).
     fn drain(&mut self) -> Vec<(u64, T)> {
         let drained: Vec<(u64, T)> = std::mem::take(&mut self.buf).into_iter().collect();
-        if let Some((ts, _)) = drained.last() {
-            self.last_emitted = Some(*ts);
+        for (ts, _) in &drained {
+            self.emitted(*ts);
         }
         drained
+    }
+
+    /// Advance `last_emitted` to a released timestamp and fold the gap
+    /// behind it into the cadence.
+    fn emitted(&mut self, ts: u64) {
+        if let Some(gap) = self
+            .last_emitted
+            .and_then(|last| ts.checked_sub(last))
+            .filter(|&gap| gap > 0)
+        {
+            self.cadence = Some(self.cadence.map_or(gap, |c| gcd(c, gap)));
+        }
+        self.last_emitted = Some(ts);
     }
 }
 
@@ -469,6 +508,9 @@ pub struct TenantDebug {
     pub reorder_last_emitted: Option<u64>,
     /// Newest timestamp ever offered (drives the watermark).
     pub reorder_max_seen: u64,
+    /// The tenant's learned cadence in stream time (the GCD of the gaps
+    /// between emitted timestamps); `None` until two frames were emitted.
+    pub reorder_cadence: Option<u64>,
     /// How far the newest seen timestamp runs ahead of the newest emitted
     /// one — the reorder buffer's current watermark lag, in stream time.
     pub reorder_lag: u64,
@@ -840,12 +882,18 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// A timestamped frame parked in its tenant's reorder buffer: the
+/// correlation id, the frame, and the instant the shard worker offered
+/// it (its hold in `rapd_reorder_hold_seconds` runs from there to its
+/// release).
+type Parked = (obs::FrameId, mdkpi::LeafFrame, Instant);
+
 /// The per-tenant state one shard worker owns.
 #[derive(Default)]
 struct WorkerState {
     engines: HashMap<Arc<str>, TenantEngine>,
     breakers: HashMap<Arc<str>, Breaker>,
-    reorder: HashMap<Arc<str>, ReorderBuffer<(obs::FrameId, mdkpi::LeafFrame)>>,
+    reorder: HashMap<Arc<str>, ReorderBuffer<Parked>>,
     /// Highest frame sequence dequeued per tenant — the WAL
     /// acknowledgement candidate when the reorder buffer is empty.
     consumed: HashMap<Arc<str>, u64>,
@@ -860,15 +908,35 @@ impl WorkerState {
     /// Release every buffered frame of every tenant through the pipeline
     /// (flush barriers and shutdown).
     fn drain_reorder(&mut self, shard: usize, shared: &PoolShared) {
-        let mut ready: Vec<(Arc<str>, obs::FrameId, mdkpi::LeafFrame)> = Vec::new();
-        for (tenant, buffer) in &mut self.reorder {
-            for (_, (id, frame)) in buffer.drain() {
-                ready.push((Arc::clone(tenant), id, frame));
-            }
+        let released = Instant::now();
+        let tenants: Vec<Arc<str>> = self.reorder.keys().cloned().collect();
+        for tenant in tenants {
+            let frames = self
+                .reorder
+                .get_mut(&tenant)
+                .map(ReorderBuffer::drain)
+                .unwrap_or_default();
+            process_released(shard, shared, self, &tenant, frames, released);
         }
-        for (tenant, id, frame) in ready {
-            process_frame(shard, shared, self, &tenant, &id, &frame);
-        }
+    }
+}
+
+/// Hand frames a reorder buffer released at `released` to the pipeline,
+/// oldest first, observing each one's hold since its offer.
+fn process_released(
+    shard: usize,
+    shared: &PoolShared,
+    state: &mut WorkerState,
+    tenant: &Arc<str>,
+    frames: Vec<(u64, Parked)>,
+    released: Instant,
+) {
+    for (_, (id, frame, offered)) in frames {
+        shared
+            .metrics
+            .reorder_hold
+            .observe(released.saturating_duration_since(offered).as_secs_f64());
+        process_frame(shard, shared, state, tenant, &id, &frame);
     }
 }
 
@@ -919,17 +987,18 @@ fn worker_loop(shard: usize, shared: &PoolShared) {
                     process_frame(shard, shared, &mut state, &tenant, &id, &frame);
                     continue;
                 };
+                // the offer instant is also the release instant of every
+                // frame this offer lets go, so an in-order frame holds 0 s
+                let offered = Instant::now();
                 let buffer = state.reorder.entry(Arc::clone(&tenant)).or_default();
                 match buffer.offer(
                     ts,
-                    (id.clone(), frame),
+                    (id.clone(), frame, offered),
                     shared.reorder_window,
                     shared.max_lateness_ms,
                 ) {
                     Ok(ready) => {
-                        for (_, (id, frame)) in ready {
-                            process_frame(shard, shared, &mut state, &tenant, &id, &frame);
-                        }
+                        process_released(shard, shared, &mut state, &tenant, ready, offered);
                     }
                     Err(rejected) => {
                         let (reason, detail) = match rejected {
@@ -994,7 +1063,7 @@ fn checkpoint_tenant(
     let consumed = state.consumed.get(tenant).copied().unwrap_or(0);
     let reorder = state.reorder.get(tenant);
     let wal_ack = reorder
-        .and_then(|b| b.buf.values().map(|(id, _)| id.seq()).min())
+        .and_then(|b| b.buf.values().map(|(id, _, _)| id.seq()).min())
         .map_or(consumed, |oldest_parked| oldest_parked.saturating_sub(1));
     let breaker = state.breakers.get(tenant);
     let checkpoint = TenantCheckpoint {
@@ -1035,9 +1104,8 @@ fn checkpoint_tenant(
 /// out of this worker's spool.
 fn adopt_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, tenant: &Arc<str>) {
     if let Some(mut buffer) = state.reorder.remove(tenant) {
-        for (_, (id, frame)) in buffer.drain() {
-            process_frame(shard, shared, state, tenant, &id, &frame);
-        }
+        let drained = buffer.drain();
+        process_released(shard, shared, state, tenant, drained, Instant::now());
     }
     checkpoint_tenant(shared, state, tenant, &config_guard(shared));
     state.engines.remove(tenant);
@@ -1385,6 +1453,7 @@ fn process_frame(
         reorder_buffered: reorder.map_or(0, |b| b.buf.len()),
         reorder_last_emitted: reorder.and_then(|b| b.last_emitted),
         reorder_max_seen: reorder.map_or(0, |b| b.max_seen),
+        reorder_cadence: reorder.and_then(|b| b.cadence),
         reorder_lag: reorder.map_or(0, |b| {
             b.max_seen
                 .saturating_sub(b.last_emitted.unwrap_or(b.max_seen))
@@ -1938,6 +2007,164 @@ mod tests {
         assert_eq!(drained, vec![20, 30, 40]);
         assert_eq!(b.last_emitted, Some(40));
         assert!(b.buf.is_empty());
+    }
+
+    /// One minute of stream time: the paper's KPI cadence.
+    const MINUTE: u64 = 60_000;
+
+    #[test]
+    fn in_order_frames_release_on_their_own_offer_once_the_cadence_is_known() {
+        let s = schema();
+        let mut b = ReorderBuffer::default();
+        // the default 2 s lateness: until two frames were emitted, each
+        // frame waits for its successor to lift the watermark past it
+        assert_eq!(offer(&mut b, &s, MINUTE, 32, 2_000), Vec::<u64>::new());
+        assert_eq!(offer(&mut b, &s, 2 * MINUTE, 32, 2_000), vec![MINUTE]);
+        assert_eq!(b.cadence, None);
+        assert_eq!(
+            offer(&mut b, &s, 3 * MINUTE, 32, 2_000),
+            vec![2 * MINUTE, 3 * MINUTE],
+            "the second emitted frame teaches the cadence, so its successor goes at once"
+        );
+        assert_eq!(b.cadence, Some(MINUTE));
+        for k in 4..10 {
+            assert_eq!(offer(&mut b, &s, k * MINUTE, 32, 2_000), vec![k * MINUTE]);
+        }
+        assert!(b.buf.is_empty());
+    }
+
+    /// A buffer that has emitted `1..=upto` minutes and learned the
+    /// one-minute cadence.
+    fn learned(s: &Schema, upto: u64) -> ReorderBuffer<LeafFrame> {
+        let mut b = ReorderBuffer::default();
+        for k in 1..=upto {
+            offer(&mut b, s, k * MINUTE, 32, 2_000);
+        }
+        assert_eq!(
+            (b.last_emitted, b.cadence),
+            (Some(upto * MINUTE), Some(MINUTE))
+        );
+        b
+    }
+
+    #[test]
+    fn a_one_step_gap_waits_for_the_watermark_then_releases_in_order() {
+        let s = schema();
+        let mut b = learned(&s, 3);
+        // minute 4 never arrives: minute 5 is not a successor and waits
+        assert_eq!(offer(&mut b, &s, 5 * MINUTE, 32, 2_000), Vec::<u64>::new());
+        // minute 6 lifts the watermark past 5, which then makes 6 its
+        // successor: both go, in order
+        assert_eq!(
+            offer(&mut b, &s, 6 * MINUTE, 32, 2_000),
+            vec![5 * MINUTE, 6 * MINUTE]
+        );
+        assert_eq!(
+            b.cadence,
+            Some(MINUTE),
+            "a gap of two minutes keeps the GCD"
+        );
+    }
+
+    #[test]
+    fn an_adjacent_swap_heals_in_order_with_nothing_rejected() {
+        let s = schema();
+        let mut b = learned(&s, 3);
+        assert_eq!(offer(&mut b, &s, 5 * MINUTE, 32, 2_000), Vec::<u64>::new());
+        // the swapped frame is the successor and releases the parked one
+        // behind it as a chain
+        assert_eq!(
+            offer(&mut b, &s, 4 * MINUTE, 32, 2_000),
+            vec![4 * MINUTE, 5 * MINUTE]
+        );
+        assert_eq!(offer(&mut b, &s, 6 * MINUTE, 32, 2_000), vec![6 * MINUTE]);
+    }
+
+    #[test]
+    fn a_restored_buffer_holds_one_frame_then_releases_successors_at_once() {
+        let s = schema();
+        // what a checkpoint restores: the watermarks, not the cadence
+        let mut b: ReorderBuffer<LeafFrame> = ReorderBuffer {
+            last_emitted: Some(3 * MINUTE),
+            max_seen: 3 * MINUTE,
+            ..ReorderBuffer::default()
+        };
+        assert_eq!(offer(&mut b, &s, 4 * MINUTE, 32, 2_000), Vec::<u64>::new());
+        assert_eq!(
+            offer(&mut b, &s, 5 * MINUTE, 32, 2_000),
+            vec![4 * MINUTE, 5 * MINUTE]
+        );
+        assert_eq!(offer(&mut b, &s, 6 * MINUTE, 32, 2_000), vec![6 * MINUTE]);
+    }
+
+    #[test]
+    fn drains_teach_the_cadence_and_irregular_gaps_shrink_it() {
+        let s = schema();
+        let mut b = ReorderBuffer::default();
+        for ts in [MINUTE, 2 * MINUTE, 4 * MINUTE] {
+            offer(&mut b, &s, ts, 32, 1_000_000);
+        }
+        b.drain();
+        assert_eq!(b.cadence, Some(MINUTE));
+        // a 1 ms skew drives the GCD to 1 ms: only an exact 1 ms
+        // successor would still be released early
+        offer(&mut b, &s, 5 * MINUTE + 1, 32, 1_000_000);
+        b.drain();
+        assert_eq!(b.cadence, Some(1));
+        assert_eq!(
+            offer(&mut b, &s, 6 * MINUTE, 32, 1_000_000),
+            Vec::<u64>::new()
+        );
+    }
+
+    #[test]
+    fn a_frame_finer_than_the_cadence_is_quarantined_late_and_accounted() {
+        let cfg = small_config(64);
+        let metrics = Arc::new(Metrics::new(cfg.shards));
+        let quarantine = quarantine(&metrics);
+        let pool = ShardPool::start(
+            &cfg,
+            Arc::clone(&metrics),
+            sink(&metrics),
+            Arc::clone(&quarantine),
+            blackbox_writer(&metrics),
+            default_factory(),
+            None,
+            None,
+        );
+        let s = schema();
+        let mut ingested = 0u64;
+        for k in 1..=4u64 {
+            ingest(&pool, "t", frame(&s, 50.0, 50.0), Some(k * MINUTE));
+            ingested += 1;
+        }
+        // minute 4 went out as the successor of minute 3, so a frame
+        // stamped half a minute earlier lands between two released ones
+        ingest(
+            &pool,
+            "t",
+            frame(&s, 50.0, 50.0),
+            Some(3 * MINUTE + MINUTE / 2),
+        );
+        ingested += 1;
+        assert!(pool.flush(Duration::from_secs(10)));
+        assert_eq!(metrics.frames_quarantined.late.load(Ordering::Relaxed), 1);
+        let records = quarantine.recent(10);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].reason, "late");
+        assert_eq!(records[0].ts, Some(3 * MINUTE + MINUTE / 2));
+        assert_eq!(metrics.total_processed(), 4);
+        assert_eq!(
+            metrics.total_processed()
+                + metrics.total_dropped()
+                + metrics.total_shed()
+                + metrics.total_quarantined(),
+            ingested,
+            "accounting invariant with a finer-than-cadence frame"
+        );
+        // every processed timestamped frame observed its hold once
+        assert_eq!(metrics.reorder_hold.count(), 4);
+        pool.shutdown();
     }
 
     #[test]

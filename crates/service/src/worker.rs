@@ -143,8 +143,9 @@ fn envelope_reply(payload: &str, shared: &Shared) -> String {
 /// The supervisor holds the write end of the worker's stdin and never
 /// writes to it, so end-of-file there means the router is gone (killed,
 /// or exited without draining its fleet). The worker then drains as the
-/// `shutdown` verb does and exits: it never outlives its router, so a
-/// restarted router cannot meet it on the same spool.
+/// `shutdown` verb does and exits. That drain can outlast a router
+/// restarted at once on the same spool; the spool lock taken at boot
+/// makes the new worker wait for this one to exit before it recovers.
 ///
 /// # Errors
 ///

@@ -309,3 +309,74 @@ fn detect_metrics_render_severity_labels_end_to_end() {
     );
     server.shutdown();
 }
+
+/// The time from anomaly to root anomaly pattern does not wait for the
+/// next frame: with the default 2 s lateness and frames a minute apart,
+/// the collapse frame is the exact successor of the last released frame,
+/// so rapd localizes it on arrival. Nothing is sent after it — no frame
+/// and no `flush` — so an incident shows up only if the reorder buffer
+/// released the frame by itself.
+#[test]
+fn the_last_in_order_frame_is_localized_without_a_successor_or_flush() {
+    let config = ServiceConfig {
+        listen: "127.0.0.1:0".to_string(),
+        metrics_listen: "127.0.0.1:0".to_string(),
+        shards: 1,
+        detect: true,
+        detect_threshold: 4.0,
+        pipeline: pipeline::PipelineConfig {
+            k: 2,
+            ..pipeline::PipelineConfig::default()
+        },
+        ..ServiceConfig::default()
+    };
+    assert_eq!(config.max_lateness, std::time::Duration::from_secs(2));
+    let server = service::start(config, service::default_factory()).expect("daemon boots");
+    let mut client = Client::connect(server.ingest_addr());
+    let ok = |reply: Json| {
+        assert_eq!(
+            reply.get("type").and_then(Json::as_str),
+            Some("ok"),
+            "{reply}"
+        )
+    };
+    ok(client.request(r#"{"type":"schema","tenant":"edge","attributes":[["a",["a1","a2"]]]}"#));
+    let frame = |ts: u64, a1: f64| {
+        let rows = [
+            (vec!["a1".to_string()], a1),
+            (vec!["a2".to_string()], 100.0),
+        ];
+        observe_line("edge", ts, &rows)
+    };
+    // warm past the detector's min_samples, then collapse leaf a1
+    for step in 0..40u64 {
+        ok(client.request(&frame(step * 60_000, 100.0)));
+    }
+    ok(client.request(&frame(40 * 60_000, 0.0)));
+
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+    let incidents = loop {
+        let reply = client.request(r#"{"type":"incidents","limit":5}"#);
+        let list = reply
+            .get("incidents")
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("bad incidents reply: {reply}"))
+            .to_vec();
+        if !list.is_empty() {
+            break list;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no incident within 5 s: the collapse frame is still held"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    assert_eq!(incidents.len(), 1, "{incidents:?}");
+    let raps = incidents[0]
+        .get("raps")
+        .and_then(Json::as_arr)
+        .expect("raps");
+    let top = raps[0].as_arr().expect("rap pair")[0].as_str();
+    assert_eq!(top, Some("(a1)"), "{incidents:?}");
+    server.shutdown();
+}

@@ -114,6 +114,7 @@ fn filled_daemon() -> Metrics {
     for (times, h) in [&m.localization, &m.ingest_ack, &m.e2e]
         .into_iter()
         .chain(stages)
+        .chain([&m.reorder_hold])
         .enumerate()
     {
         sweep(h, times + 1);
