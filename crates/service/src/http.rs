@@ -1,19 +1,20 @@
 //! A minimal embedded HTTP listener serving Prometheus `/metrics`.
 //!
 //! One accept-loop thread; each request is answered inline (scrapes are
-//! rare and tiny, so no per-connection threads). Only `GET /metrics` is
-//! meaningful; everything else is 404. The response always closes the
-//! connection, so HTTP/1.0 and HTTP/1.1 scrapers both work.
+//! rare and tiny, so no per-connection threads) under one 2 s deadline,
+//! so a client that trickles bytes holds up the scrapes behind it (and
+//! shutdown) no longer than that. Only `GET /metrics` is meaningful;
+//! everything else is 404. The response always closes the connection, so
+//! HTTP/1.0 and HTTP/1.1 scrapers both work.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::metrics::Metrics;
-use crate::proto::setup_stream;
 
 /// Produces the exposition body served on each scrape.
 pub type RenderFn = Arc<dyn Fn() -> String + Send + Sync>;
@@ -95,9 +96,43 @@ impl Drop for MetricsServer {
     }
 }
 
+/// A socket that gives up at one deadline: each read and write first
+/// re-arms its timeout with the time left, so bytes that trickle in (or
+/// out) cannot stretch an exchange past the deadline.
+struct Deadlined(TcpStream, Instant);
+
+impl Deadlined {
+    fn time_left(&self) -> io::Result<Option<Duration>> {
+        match self.1.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => Ok(Some(left)),
+            _ => Err(io::ErrorKind::TimedOut.into()),
+        }
+    }
+}
+
+impl Read for Deadlined {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.0.set_read_timeout(self.time_left()?)?;
+        self.0.read(buf)
+    }
+}
+
+impl Write for Deadlined {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.set_write_timeout(self.time_left()?)?;
+        self.0.write(buf)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.0.flush()
+    }
+}
+
 fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> io::Result<()> {
-    setup_stream(&stream, Some(Duration::from_secs(2)))?;
-    let mut reader = BufReader::new(stream);
+    stream.set_nodelay(true)?;
+    // one deadline for the whole scrape; past 8 KiB a head is cut short
+    let stream = Deadlined(stream, Instant::now() + Duration::from_secs(2));
+    let mut reader = BufReader::new(stream.take(8 << 10));
     let mut request_line = String::new();
     reader.read_line(&mut request_line)?;
     // drain headers so well-behaved clients see a clean close
@@ -108,7 +143,7 @@ fn serve_one(stream: TcpStream, render: &(dyn Fn() -> String + Send + Sync)) -> 
         }
         header.clear();
     }
-    let mut stream = reader.into_inner();
+    let mut stream = reader.into_inner().into_inner();
     let path = request_line.split_whitespace().nth(1).unwrap_or("");
     let (status, content_type, body) = if path == "/metrics" || path.starts_with("/metrics?") {
         (
@@ -205,5 +240,46 @@ mod tests {
         let (status, _) = get(addr, "/metrics").unwrap();
         assert!(status.contains("200"));
         server.shutdown();
+    }
+
+    #[test]
+    fn a_trickling_client_holds_neither_a_scrape_nor_shutdown_past_the_deadline() {
+        let server = MetricsServer::start("127.0.0.1:0", Arc::new(Metrics::new(1))).unwrap();
+        let addr = server.addr();
+        // one byte every 500 ms (11.5 s for the request line) until the
+        // server hangs up
+        let trickle = || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            std::thread::spawn(move || {
+                for byte in b"GET /metrics HTTP/1.1\r\n" {
+                    if stream.write_all(&[*byte]).is_err() {
+                        return;
+                    }
+                    std::thread::sleep(Duration::from_millis(500));
+                }
+            })
+        };
+        let limit = Duration::from_secs(3);
+        // the accept queue is FIFO, so the listener takes the trickling
+        // connection before the scrape's
+        let first = trickle();
+        let start = std::time::Instant::now();
+        let (status, _) = get(addr, "/metrics").unwrap();
+        assert!(status.contains("200"), "got {status}");
+        let waited = start.elapsed();
+        assert!(
+            waited < limit,
+            "a scrape waited {waited:?} behind a trickle"
+        );
+        let second = trickle();
+        let start = std::time::Instant::now();
+        drop(server);
+        let waited = start.elapsed();
+        assert!(
+            waited < limit,
+            "shutdown waited {waited:?} behind a trickle"
+        );
+        first.join().unwrap();
+        second.join().unwrap();
     }
 }

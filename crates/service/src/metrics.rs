@@ -242,11 +242,12 @@ impl Histogram {
         if !seconds.is_finite() || seconds < 0.0 {
             return;
         }
-        if let Some(i) = self.bounds.iter().position(|bound| seconds <= *bound) {
-            self.buckets[i].fetch_add(1, Ordering::Relaxed);
-        }
-        // beyond the last bound: counted only by `count` (the +Inf bucket)
+        // `count` (also the +Inf bucket) rises first; the bucket's Release
+        // pairs with `cumulative`'s Acquire, so no scrape sees it exceed `count`
         self.count.fetch_add(1, Ordering::Relaxed);
+        if let Some(i) = self.bounds.iter().position(|bound| seconds <= *bound) {
+            self.buckets[i].fetch_add(1, Ordering::Release);
+        }
         self.sum_micros
             .fetch_add((seconds * 1e6) as u64, Ordering::Relaxed);
     }
@@ -268,7 +269,7 @@ impl Histogram {
         self.buckets
             .iter()
             .map(|b| {
-                total += b.load(Ordering::Relaxed);
+                total += b.load(Ordering::Acquire);
                 total
             })
             .collect()

@@ -52,7 +52,7 @@
 //! loses its buffered frames along with its queue, exactly like queued
 //! frames.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -99,17 +99,18 @@ enum Job {
     /// reorder buffers — parked frames stay parked and remain covered by
     /// the WAL suffix past the acknowledged sequence.
     Checkpoint(Arc<FlushGate>),
-    /// Forget one tenant's live state (engine, breaker, reorder buffer,
-    /// restore latch) so its next frame lazily restores from whatever the
-    /// checkpoint store now holds. The fleet handoff protocol posts this
-    /// to both sides of a transfer after copying the snapshot. Any frames
-    /// still parked in the tenant's reorder buffer are released through
-    /// the pipeline first — an adopt must never lose an admitted frame.
+    /// Forget one tenant's [`Tenant`] record so its next frame lazily
+    /// restores from whatever the checkpoint store now holds. The fleet
+    /// handoff protocol posts this to both sides of a transfer after
+    /// copying the snapshot. Any frames still parked in the tenant's
+    /// reorder buffer are released through the pipeline first — an adopt
+    /// must never lose an admitted frame.
     Adopt {
         tenant: Arc<str>,
         gate: Arc<FlushGate>,
     },
-    /// Drain-free worker exit.
+    /// Worker exit, after every reorder buffer is drained through the
+    /// pipeline.
     Shutdown,
 }
 
@@ -225,9 +226,10 @@ const SUPERVISE_INTERVAL: Duration = Duration::from_millis(15);
 
 /// Per-tenant circuit breaker state (owned by one shard worker, so no
 /// synchronization is needed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BreakerState {
     /// Frames flow normally.
+    #[default]
     Closed,
     /// Frames are shed until the cooldown deadline.
     Open { until: Instant },
@@ -237,19 +239,10 @@ enum BreakerState {
 
 /// Counts consecutive failures of one tenant's pipeline and decides
 /// whether its frames are processed, probed, or shed.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Breaker {
     failures: u32,
     state: BreakerState,
-}
-
-impl Default for Breaker {
-    fn default() -> Self {
-        Breaker {
-            failures: 0,
-            state: BreakerState::Closed,
-        }
-    }
 }
 
 /// What to do with the frame that just arrived for a tenant.
@@ -457,18 +450,11 @@ struct PoolShared {
     sink: Arc<IncidentSink>,
     quarantine: Arc<QuarantineSink>,
     factory: LocalizerFactory,
-    pipeline_config: pipeline::PipelineConfig,
+    /// The settings the pool was started with.
+    config: ServiceConfig,
     /// `Some` switches every tenant to detect-then-localize mode: raw
     /// frames in, self-triggered localizations out.
     detector_config: Option<DetectorConfig>,
-    window: usize,
-    breaker_threshold: u32,
-    breaker_cooldown: Duration,
-    reorder_window: usize,
-    max_lateness_ms: u64,
-    /// Span/event lines each worker's flight recorder retains for
-    /// post-mortem blackbox dumps; `0` disables the recorder.
-    flight_capacity: usize,
     /// Post-mortem dump writer shared by every worker: panics, deadline
     /// overruns, and breaker openings snapshot the flight recorders here.
     blackbox: Arc<BlackboxWriter>,
@@ -556,18 +542,12 @@ impl ShardPool {
             sink,
             quarantine,
             factory,
-            pipeline_config: config.pipeline,
+            config: config.clone(),
             detector_config: config.detect.then(|| DetectorConfig {
                 sigma_threshold: config.detect_threshold,
                 seasonal_period: config.seasonal_period,
                 ..DetectorConfig::default()
             }),
-            window: config.forecast_window,
-            breaker_threshold: config.breaker_threshold,
-            breaker_cooldown: config.breaker_cooldown,
-            reorder_window: config.reorder_window,
-            max_lateness_ms: config.max_lateness.as_millis() as u64,
-            flight_capacity: config.flight_recorder_capacity,
             blackbox,
             wal,
             checkpoints,
@@ -668,11 +648,12 @@ impl ShardPool {
 
     /// Forget one tenant's live state on its shard worker: any frames
     /// parked in the tenant's reorder buffer are released through the
-    /// pipeline first, then the engine, breaker, reorder watermarks, and
-    /// lazy-restore latch are dropped. The tenant's next frame restores
-    /// from whatever the checkpoint store holds at that point — this is
-    /// how both sides of a fleet handoff pick up a transferred snapshot.
-    /// Returns whether the shard acknowledged within the timeout.
+    /// pipeline first, a final checkpoint covers every frame it consumed,
+    /// and its `Tenant` record is dropped. The tenant's next frame
+    /// restores from whatever the checkpoint store holds at that point —
+    /// this is how both sides of a fleet handoff pick up a transferred
+    /// snapshot. Returns whether the shard acknowledged within the
+    /// timeout.
     pub fn adopt(&self, tenant: &str, timeout: Duration) -> bool {
         let shard = self.shard_for(tenant);
         let gate = Arc::new(FlushGate::new(1));
@@ -744,17 +725,12 @@ fn unix_millis_now() -> u64 {
 
 /// The config fingerprint stamped into (and checked against) checkpoints.
 fn config_guard(shared: &PoolShared) -> ConfigGuard {
+    let detector = shared.detector_config.as_ref();
     ConfigGuard {
-        detect: shared.detector_config.is_some(),
-        seasonal_period: shared
-            .detector_config
-            .as_ref()
-            .map_or(0, |d| d.seasonal_period),
-        residual_window: shared
-            .detector_config
-            .as_ref()
-            .map_or(0, |d| d.residual_window),
-        window: shared.window,
+        detect: detector.is_some(),
+        seasonal_period: detector.map_or(0, |d| d.seasonal_period),
+        residual_window: detector.map_or(0, |d| d.residual_window),
+        window: shared.config.forecast_window,
     }
 }
 
@@ -815,23 +791,45 @@ enum TenantEngine {
 impl TenantEngine {
     /// Build the engine the pool is configured for.
     fn build(shared: &PoolShared) -> TenantEngine {
+        let config = shared.config.pipeline;
+        let localizer = (shared.factory)(config.localize_threads);
+        let forecaster = MovingAverage::new(shared.config.forecast_window);
         match shared.detector_config {
             Some(detector) => TenantEngine::Detecting(Box::new(
-                DetectingPipeline::try_new(
-                    shared.pipeline_config,
-                    detector,
-                    (shared.factory)(shared.pipeline_config.localize_threads),
-                )
-                .expect("service config validated at boot"),
+                DetectingPipeline::try_new(config, detector, localizer)
+                    .expect("service config validated at boot"),
             )),
             None => TenantEngine::Classic(
-                LocalizationPipeline::try_new(
-                    shared.pipeline_config,
-                    MovingAverage::new(shared.window),
-                    (shared.factory)(shared.pipeline_config.localize_threads),
-                )
-                .expect("service config validated at boot"),
+                LocalizationPipeline::try_new(config, forecaster, localizer)
+                    .expect("service config validated at boot"),
             ),
+        }
+    }
+
+    /// Resume the engine a checkpoint captured; `None` when the pipeline
+    /// rejects the snapshot.
+    fn restore(shared: &PoolShared, snapshot: &EngineCheckpoint) -> Option<TenantEngine> {
+        let config = shared.config.pipeline;
+        let localizer = || (shared.factory)(config.localize_threads);
+        match snapshot {
+            EngineCheckpoint::Detecting(snapshot) => {
+                let detector = shared.detector_config?;
+                DetectingPipeline::try_restore(config, detector, snapshot, localizer())
+                    .map(|p| TenantEngine::Detecting(Box::new(p)))
+            }
+            EngineCheckpoint::Classic(snapshot) => {
+                let forecaster = MovingAverage::new(shared.config.forecast_window);
+                LocalizationPipeline::try_restore(config, forecaster, localizer(), snapshot)
+                    .map(TenantEngine::Classic)
+            }
+        }
+    }
+
+    /// The engine half of a checkpoint.
+    fn snapshot(&self) -> EngineCheckpoint {
+        match self {
+            TenantEngine::Classic(p) => EngineCheckpoint::Classic(p.state_snapshot()),
+            TenantEngine::Detecting(p) => EngineCheckpoint::Detecting(p.detector_snapshot()),
         }
     }
 
@@ -888,36 +886,57 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// release).
 type Parked = (obs::FrameId, mdkpi::LeafFrame, Instant);
 
-/// The per-tenant state one shard worker owns.
+/// One shard-owned tenant's live state. A tenant enters its worker's
+/// table when its first frame resolves its checkpoint (restored, or
+/// missing and counted as a re-warm), so membership is the lazy-restore
+/// latch; an adopt removes it.
 #[derive(Default)]
-struct WorkerState {
-    engines: HashMap<Arc<str>, TenantEngine>,
-    breakers: HashMap<Arc<str>, Breaker>,
-    reorder: HashMap<Arc<str>, ReorderBuffer<Parked>>,
-    /// Highest frame sequence dequeued per tenant — the WAL
-    /// acknowledgement candidate when the reorder buffer is empty.
-    consumed: HashMap<Arc<str>, u64>,
-    /// Tenants whose checkpoint (or lack of one) was already resolved by
-    /// this worker; guards the lazy restore against repeated store reads.
-    restored: HashSet<Arc<str>>,
-    /// When each tenant was last checkpointed (or restored), unix ms.
-    last_checkpoint: HashMap<Arc<str>, u64>,
+struct Tenant {
+    /// `None` until the tenant's first processed frame builds it, and
+    /// again after a panic quarantined it; the next processed frame
+    /// builds a fresh one.
+    engine: Option<TenantEngine>,
+    breaker: Breaker,
+    reorder: ReorderBuffer<Parked>,
+    /// Highest frame sequence dequeued — the WAL acknowledgement
+    /// candidate when the reorder buffer is empty.
+    consumed: u64,
+    /// When the tenant was last checkpointed (or restored), unix ms.
+    last_checkpoint: Option<u64>,
 }
 
-impl WorkerState {
-    /// Release every buffered frame of every tenant through the pipeline
-    /// (flush barriers and shutdown).
-    fn drain_reorder(&mut self, shard: usize, shared: &PoolShared) {
-        let released = Instant::now();
-        let tenants: Vec<Arc<str>> = self.reorder.keys().cloned().collect();
-        for tenant in tenants {
-            let frames = self
-                .reorder
-                .get_mut(&tenant)
-                .map(ReorderBuffer::drain)
-                .unwrap_or_default();
-            process_released(shard, shared, self, &tenant, frames, released);
+/// The tenants one shard worker owns.
+type Tenants = HashMap<Arc<str>, Tenant>;
+
+impl Tenant {
+    /// The `debug` verb's view of the tenant after processing `last_frame`.
+    fn debug(&self, shard: usize, last_frame: &obs::FrameId) -> TenantDebug {
+        let (engine, reorder) = (self.engine.as_ref(), &self.reorder);
+        TenantDebug {
+            shard,
+            engine: engine.map_or("quarantined", TenantEngine::kind_str),
+            detector_phase: engine.and_then(TenantEngine::detector_phase),
+            breaker: self.breaker.state_str(),
+            reorder_buffered: reorder.buf.len(),
+            reorder_last_emitted: reorder.last_emitted,
+            reorder_max_seen: reorder.max_seen,
+            reorder_cadence: reorder.cadence,
+            reorder_lag: reorder
+                .max_seen
+                .saturating_sub(reorder.last_emitted.unwrap_or(reorder.max_seen)),
+            last_frame: last_frame.as_str().to_string(),
+            last_checkpoint_unix_ms: self.last_checkpoint,
         }
+    }
+}
+
+/// Release every buffered frame of every tenant through the pipeline
+/// (flush barriers and shutdown).
+fn drain_reorder(shard: usize, shared: &PoolShared, tenants: &mut Tenants) {
+    let released = Instant::now();
+    for (tenant, state) in tenants.iter_mut() {
+        let frames = state.reorder.drain();
+        process_released(shard, shared, tenant, state, frames, released);
     }
 }
 
@@ -926,8 +945,8 @@ impl WorkerState {
 fn process_released(
     shard: usize,
     shared: &PoolShared,
-    state: &mut WorkerState,
     tenant: &Arc<str>,
+    state: &mut Tenant,
     frames: Vec<(u64, Parked)>,
     released: Instant,
 ) {
@@ -936,41 +955,43 @@ fn process_released(
             .metrics
             .reorder_hold
             .observe(released.saturating_duration_since(offered).as_secs_f64());
-        process_frame(shard, shared, state, tenant, &id, &frame);
+        process_frame(shard, shared, tenant, state, &id, &frame);
     }
 }
 
 fn worker_loop(shard: usize, shared: &PoolShared) {
     let shard_metrics = shared.metrics.shard(shard);
     let queue = &shared.queues[shard];
-    let mut state = WorkerState::default();
+    let mut tenants = Tenants::new();
     // Each worker keeps a bounded ring of its recent spans and events;
     // blackbox dumps snapshot every live ring post mortem. The guard
     // deregisters the ring when the worker dies, so a respawned worker
     // re-registers under the same name with a fresh ring.
-    let _recorder = (shared.flight_capacity > 0)
-        .then(|| obs::recorder::register(&format!("shard-{shard}"), shared.flight_capacity));
+    let flight_capacity = shared.config.flight_recorder_capacity;
+    let _recorder = (flight_capacity > 0)
+        .then(|| obs::recorder::register(&format!("shard-{shard}"), flight_capacity));
+    let lateness_ms = shared.config.max_lateness.as_millis() as u64;
     loop {
         // fault injection: a shard thread dying between jobs (before the
         // pop, so the crash never takes a dequeued frame with it)
         obs::fail::apply("shard-worker-panic");
         match queue.pop() {
             Job::Shutdown => {
-                state.drain_reorder(shard, shared);
+                drain_reorder(shard, shared, &mut tenants);
                 return;
             }
             Job::Barrier(gate) => {
                 // the barrier is an everything-before-it fence, so frames
                 // still parked in reorder buffers must go through first
-                state.drain_reorder(shard, shared);
+                drain_reorder(shard, shared, &mut tenants);
                 gate.done();
             }
             Job::Checkpoint(gate) => {
-                checkpoint_shard(shared, &mut state);
+                checkpoint_shard(shared, &mut tenants);
                 gate.done();
             }
             Job::Adopt { tenant, gate } => {
-                adopt_tenant(shard, shared, &mut state, &tenant);
+                adopt_tenant(shard, shared, &mut tenants, &tenant);
                 gate.done();
             }
             Job::Frame {
@@ -980,25 +1001,25 @@ fn worker_loop(shard: usize, shared: &PoolShared) {
                 ts,
             } => {
                 shard_metrics.depth.fetch_sub(1, Ordering::Relaxed);
-                restore_tenant(shard, shared, &mut state, &tenant);
-                let seen = state.consumed.entry(Arc::clone(&tenant)).or_insert(0);
-                *seen = (*seen).max(id.seq());
+                let state = tenants
+                    .entry(Arc::clone(&tenant))
+                    .or_insert_with(|| restore_tenant(shard, shared, &tenant));
+                state.consumed = state.consumed.max(id.seq());
                 let Some(ts) = ts else {
-                    process_frame(shard, shared, &mut state, &tenant, &id, &frame);
+                    process_frame(shard, shared, &tenant, state, &id, &frame);
                     continue;
                 };
                 // the offer instant is also the release instant of every
                 // frame this offer lets go, so an in-order frame holds 0 s
                 let offered = Instant::now();
-                let buffer = state.reorder.entry(Arc::clone(&tenant)).or_default();
-                match buffer.offer(
+                match state.reorder.offer(
                     ts,
                     (id.clone(), frame, offered),
-                    shared.reorder_window,
-                    shared.max_lateness_ms,
+                    shared.config.reorder_window,
+                    lateness_ms,
                 ) {
                     Ok(ready) => {
-                        process_released(shard, shared, &mut state, &tenant, ready, offered);
+                        process_released(shard, shared, &tenant, state, ready, offered);
                     }
                     Err(rejected) => {
                         let (reason, detail) = match rejected {
@@ -1028,89 +1049,83 @@ fn worker_loop(shard: usize, shared: &PoolShared) {
 /// The acknowledgement is conservative: with frames parked in the reorder
 /// buffer it stops just short of the oldest parked one, so a crash after
 /// the compaction still replays everything not yet through the pipeline.
-fn checkpoint_shard(shared: &PoolShared, state: &mut WorkerState) {
-    if shared.checkpoints.is_none() {
+fn checkpoint_shard(shared: &PoolShared, tenants: &mut Tenants) {
+    let Some(store) = &shared.checkpoints else {
         return;
-    }
+    };
     let guard = config_guard(shared);
-    let tenants: Vec<Arc<str>> = state.engines.keys().cloned().collect();
-    for tenant in tenants {
-        checkpoint_tenant(shared, state, &tenant, &guard);
+    for (tenant, state) in tenants.iter_mut() {
+        checkpoint_tenant(shared, store, tenant, state, &guard);
     }
 }
 
 /// Snapshot one tenant to the checkpoint store and compact its WAL
-/// segment up to the acknowledged sequence. No-op without a store or a
-/// live engine for the tenant.
+/// segment up to the acknowledged sequence. No-op while the tenant has no
+/// engine (none built yet, or quarantined after a panic).
 fn checkpoint_tenant(
     shared: &PoolShared,
-    state: &mut WorkerState,
+    store: &CheckpointStore,
     tenant: &Arc<str>,
+    state: &mut Tenant,
     guard: &ConfigGuard,
 ) {
-    let Some(store) = &shared.checkpoints else {
-        return;
-    };
-    let Some(engine) = state.engines.get(tenant) else {
+    let Some(engine) = &state.engine else {
         return;
     };
     let now_ms = unix_millis_now();
-    let now = Instant::now();
-    let engine_snapshot = match engine {
-        TenantEngine::Classic(p) => EngineCheckpoint::Classic(p.state_snapshot()),
-        TenantEngine::Detecting(p) => EngineCheckpoint::Detecting(p.detector_snapshot()),
-    };
-    let consumed = state.consumed.get(tenant).copied().unwrap_or(0);
-    let reorder = state.reorder.get(tenant);
-    let wal_ack = reorder
-        .and_then(|b| b.buf.values().map(|(id, _, _)| id.seq()).min())
-        .map_or(consumed, |oldest_parked| oldest_parked.saturating_sub(1));
-    let breaker = state.breakers.get(tenant);
-    let checkpoint = TenantCheckpoint {
+    let (reorder, breaker) = (&state.reorder, &state.breaker);
+    let oldest_parked = reorder.buf.values().map(|(id, _, _)| id.seq()).min();
+    let wal_ack = oldest_parked.map_or(state.consumed, |seq| seq.saturating_sub(1));
+    store.write(&TenantCheckpoint {
         tenant: tenant.to_string(),
         ts_unix_ms: now_ms,
         wal_ack,
-        frame_seq: consumed,
-        reorder_last_emitted: reorder.and_then(|b| b.last_emitted),
-        reorder_max_seen: reorder.map_or(0, |b| b.max_seen),
-        breaker_failures: breaker.map_or(0, |b| b.failures),
-        breaker_state: breaker.map_or("closed", Breaker::state_str).to_string(),
-        breaker_remaining_ms: breaker.map_or(0, |b| match b.state {
-            BreakerState::Open { until } => until.saturating_duration_since(now).as_millis() as u64,
+        frame_seq: state.consumed,
+        reorder_last_emitted: reorder.last_emitted,
+        reorder_max_seen: reorder.max_seen,
+        breaker_failures: breaker.failures,
+        breaker_state: breaker.state_str().to_string(),
+        breaker_remaining_ms: match breaker.state {
+            BreakerState::Open { until } => {
+                until.saturating_duration_since(Instant::now()).as_millis() as u64
+            }
             _ => 0,
-        }),
+        },
         guard: guard.clone(),
-        engine: engine_snapshot,
-    };
-    store.write(&checkpoint);
+        engine: engine.snapshot(),
+    });
     if let Some(wal) = &shared.wal {
         wal.compact(tenant, wal_ack);
     }
-    state.last_checkpoint.insert(Arc::clone(tenant), now_ms);
+    state.last_checkpoint = Some(now_ms);
     if let Some(d) = lock_recover(&shared.debug).get_mut(tenant.as_ref()) {
         d.last_checkpoint_unix_ms = Some(now_ms);
     }
 }
 
-/// Drop one tenant's live state so its next frame lazily restores from
-/// the checkpoint store ([`Job::Adopt`]). Frames still parked in the
-/// tenant's reorder buffer go through the pipeline first — an adopt must
-/// never lose an admitted frame — and the drained state is snapshotted
-/// to the checkpoint store as a *final* checkpoint before being
-/// forgotten. With the reorder buffer empty, that snapshot's `wal_ack`
-/// equals the consumed watermark and its WAL compaction leaves exactly
-/// the never-processed suffix behind — the invariant the fleet handoff
-/// protocol relies on when it lifts a tenant's checkpoint + WAL suffix
-/// out of this worker's spool.
-fn adopt_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, tenant: &Arc<str>) {
-    if let Some(mut buffer) = state.reorder.remove(tenant) {
-        let drained = buffer.drain();
-        process_released(shard, shared, state, tenant, drained, Instant::now());
-    }
-    checkpoint_tenant(shared, state, tenant, &config_guard(shared));
-    state.engines.remove(tenant);
-    if let Some(breaker) = state.breakers.remove(tenant) {
-        if breaker.state != BreakerState::Closed {
+/// Drop one tenant's record so its next frame lazily restores from the
+/// checkpoint store ([`Job::Adopt`]). Frames still parked in the tenant's
+/// reorder buffer go through the pipeline first — an adopt must never
+/// lose an admitted frame — and the drained state is snapshotted to the
+/// checkpoint store as a *final* checkpoint before being forgotten. A
+/// pipeline quarantined by a panic is first replaced by the fresh engine
+/// its next frame would have built, so that snapshot is always written,
+/// and with the buffer drained its `wal_ack` equals the consumed
+/// watermark: its WAL compaction leaves exactly the never-processed
+/// suffix behind — the invariant the fleet handoff protocol relies on
+/// when it lifts a tenant's checkpoint + WAL suffix out of this worker's
+/// spool.
+fn adopt_tenant(shard: usize, shared: &PoolShared, tenants: &mut Tenants, tenant: &Arc<str>) {
+    if let Some(mut state) = tenants.remove(tenant) {
+        let drained = state.reorder.drain();
+        process_released(shard, shared, tenant, &mut state, drained, Instant::now());
+        if let Some(store) = &shared.checkpoints {
+            state
+                .engine
+                .get_or_insert_with(|| TenantEngine::build(shared));
+            checkpoint_tenant(shared, store, tenant, &mut state, &config_guard(shared));
+        }
+        if state.breaker.state != BreakerState::Closed {
             // the open-breaker gauge counts live breakers; this one is
             // being dropped, not closed by a successful probe
             shared
@@ -1120,10 +1135,6 @@ fn adopt_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, tena
                 .fetch_sub(1, Ordering::Relaxed);
         }
     }
-    state.reorder.remove(tenant);
-    state.consumed.remove(tenant);
-    state.restored.remove(tenant);
-    state.last_checkpoint.remove(tenant);
     lock_recover(&shared.debug).remove(tenant.as_ref());
     obs::info(
         "rapd.shard",
@@ -1135,24 +1146,17 @@ fn adopt_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, tena
     );
 }
 
-/// Lazily resolve an unseen tenant's checkpoint before its first frame:
-/// restore the engine, breaker, reorder watermark, and sequence state
-/// from the latest valid snapshot — or fall through to a counted,
-/// warned-about cold start. A tenant whose engine is already live (a
-/// post-panic worker respawn) keeps its live state untouched.
-fn restore_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, tenant: &Arc<str>) {
-    if !state.restored.insert(Arc::clone(tenant)) {
-        return;
-    }
+/// Resolve an unseen tenant's checkpoint before its first frame: restore
+/// the engine, breaker, reorder watermarks, and sequence state from the
+/// latest valid snapshot — or fall through to a counted, warned-about
+/// cold start. Without a checkpoint store every tenant starts cold,
+/// uncounted.
+fn restore_tenant(shard: usize, shared: &PoolShared, tenant: &Arc<str>) -> Tenant {
     let Some(store) = &shared.checkpoints else {
-        return;
+        return Tenant::default();
     };
-    if state.engines.contains_key(tenant) {
-        return;
-    }
     let Some(checkpoint) = store.load(tenant) else {
-        rewarm(shared, tenant, "no usable checkpoint");
-        return;
+        return rewarm(shared, tenant, "no usable checkpoint");
     };
     if checkpoint.tenant != tenant.as_ref() {
         // The snapshot at this tenant's path embeds a different tenant
@@ -1167,8 +1171,7 @@ fn restore_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, te
                 ("snapshot_tenant", obs::Value::Str(checkpoint.tenant)),
             ],
         );
-        rewarm(shared, tenant, "checkpoint belongs to a different tenant");
-        return;
+        return rewarm(shared, tenant, "checkpoint belongs to a different tenant");
     }
     if checkpoint.guard != config_guard(shared) {
         obs::warn(
@@ -1176,34 +1179,11 @@ fn restore_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, te
             "checkpoint_config_mismatch",
             &[("tenant", obs::Value::Str(tenant.to_string()))],
         );
-        rewarm(shared, tenant, "daemon reconfigured since snapshot");
-        return;
+        return rewarm(shared, tenant, "daemon reconfigured since snapshot");
     }
-    let engine = match &checkpoint.engine {
-        EngineCheckpoint::Detecting(snapshot) => {
-            shared.detector_config.as_ref().and_then(|detector| {
-                DetectingPipeline::try_restore(
-                    shared.pipeline_config,
-                    *detector,
-                    snapshot,
-                    (shared.factory)(shared.pipeline_config.localize_threads),
-                )
-                .map(|p| TenantEngine::Detecting(Box::new(p)))
-            })
-        }
-        EngineCheckpoint::Classic(snapshot) => LocalizationPipeline::try_restore(
-            shared.pipeline_config,
-            MovingAverage::new(shared.window),
-            (shared.factory)(shared.pipeline_config.localize_threads),
-            snapshot,
-        )
-        .map(TenantEngine::Classic),
+    let Some(engine) = TenantEngine::restore(shared, &checkpoint.engine) else {
+        return rewarm(shared, tenant, "snapshot rejected by the pipeline");
     };
-    let Some(engine) = engine else {
-        rewarm(shared, tenant, "snapshot rejected by the pipeline");
-        return;
-    };
-    state.engines.insert(Arc::clone(tenant), engine);
     let mut breaker = Breaker {
         failures: checkpoint.breaker_failures,
         state: match checkpoint.breaker_state.as_str() {
@@ -1214,7 +1194,7 @@ fn restore_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, te
             _ => BreakerState::Closed,
         },
     };
-    if shared.breaker_threshold == 0 {
+    if shared.config.breaker_threshold == 0 {
         // the breaker was disabled since the snapshot: never resume open
         breaker = Breaker::default();
     } else if breaker.state != BreakerState::Closed {
@@ -1225,18 +1205,6 @@ fn restore_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, te
             .breaker_open
             .fetch_add(1, Ordering::Relaxed);
     }
-    state.breakers.insert(Arc::clone(tenant), breaker);
-    if checkpoint.reorder_last_emitted.is_some() || checkpoint.reorder_max_seen > 0 {
-        let buffer = state.reorder.entry(Arc::clone(tenant)).or_default();
-        buffer.last_emitted = checkpoint.reorder_last_emitted;
-        buffer.max_seen = checkpoint.reorder_max_seen;
-    }
-    state
-        .consumed
-        .insert(Arc::clone(tenant), checkpoint.frame_seq);
-    state
-        .last_checkpoint
-        .insert(Arc::clone(tenant), checkpoint.ts_unix_ms);
     shared
         .metrics
         .checkpoint_restores
@@ -1250,19 +1218,31 @@ fn restore_tenant(shard: usize, shared: &PoolShared, state: &mut WorkerState, te
             ("snapshot_unix_ms", obs::Value::U64(checkpoint.ts_unix_ms)),
         ],
     );
+    Tenant {
+        engine: Some(engine),
+        breaker,
+        reorder: ReorderBuffer {
+            last_emitted: checkpoint.reorder_last_emitted,
+            max_seen: checkpoint.reorder_max_seen,
+            ..ReorderBuffer::default()
+        },
+        consumed: checkpoint.frame_seq,
+        last_checkpoint: Some(checkpoint.ts_unix_ms),
+    }
 }
 
-/// Account and announce a detector cold start: recovery found no usable
+/// Account and announce a detector cold start — recovery found no usable
 /// checkpoint, so the tenant re-warms blind for `min_samples` (detect
-/// mode) or `warmup` (classic) frames before it can alarm again.
-fn rewarm(shared: &PoolShared, tenant: &Arc<str>, reason: &str) {
+/// mode) or `warmup` (classic) frames before it can alarm again — and
+/// return the cold record.
+fn rewarm(shared: &PoolShared, tenant: &Arc<str>, reason: &str) -> Tenant {
     shared
         .metrics
         .detector_rewarms
         .fetch_add(1, Ordering::Relaxed);
     let blindness_frames = match &shared.detector_config {
         Some(detector) => detector.min_samples,
-        None => shared.pipeline_config.warmup,
+        None => shared.config.pipeline.warmup,
     };
     obs::warn(
         "rapd.shard",
@@ -1276,6 +1256,7 @@ fn rewarm(shared: &PoolShared, tenant: &Arc<str>, reason: &str) {
             ),
         ],
     );
+    Tenant::default()
 }
 
 /// Run one frame through the tenant's breaker and pipeline, with panic
@@ -1283,8 +1264,8 @@ fn rewarm(shared: &PoolShared, tenant: &Arc<str>, reason: &str) {
 fn process_frame(
     shard: usize,
     shared: &PoolShared,
-    state: &mut WorkerState,
     tenant: &Arc<str>,
+    state: &mut Tenant,
     id: &obs::FrameId,
     frame: &mdkpi::LeafFrame,
 ) {
@@ -1293,12 +1274,7 @@ fn process_frame(
     // Every span and event emitted while this frame is in flight carries
     // its correlation token, including breaker and panic events.
     let _frame = obs::frame::frame_scope(id);
-    let admission = state
-        .breakers
-        .entry(Arc::clone(tenant))
-        .or_default()
-        .admit(Instant::now());
-    if admission == Admission::Shed {
+    if state.breaker.admit(Instant::now()) == Admission::Shed {
         shard_metrics.shed.fetch_add(1, Ordering::Relaxed);
         return;
     }
@@ -1309,21 +1285,20 @@ fn process_frame(
     // One bad frame (or one buggy localizer) must not kill the
     // worker and its other tenants: panics are contained here
     // and handled as pipeline failures.
-    let engines = &mut state.engines;
+    let engine = &mut state.engine;
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         // fault injection: a pipeline panicking mid-frame,
         // scoped to one tenant via the tag
         obs::fail::apply_tagged("pipeline-panic", tenant.as_ref());
-        let engine = engines
-            .entry(Arc::clone(tenant))
-            .or_insert_with(|| TenantEngine::build(shared));
-        engine.observe(frame)
+        engine
+            .get_or_insert_with(|| TenantEngine::build(shared))
+            .observe(frame)
     }));
     let failed = match outcome {
         Err(payload) => {
             // The pipeline may be torn mid-update: quarantine
             // it. The tenant's next frame builds a fresh one.
-            state.engines.remove(tenant);
+            state.engine = None;
             metrics
                 .pipeline_restarts_panic
                 .fetch_add(1, Ordering::Relaxed);
@@ -1401,17 +1376,18 @@ fn process_frame(
     // histogram tracks frames processed, not alarms). A panicked engine
     // was just removed, so nothing is observed for that frame.
     if let Some(seconds) = state
-        .engines
-        .get(tenant)
+        .engine
+        .as_ref()
         .and_then(TenantEngine::last_detector_seconds)
     {
         metrics.stages.detector.observe(seconds);
     }
-    let breaker = state.breakers.entry(Arc::clone(tenant)).or_default();
+    let breaker = &mut state.breaker;
     if failed {
+        let config = &shared.config;
         if breaker.on_failure(
-            shared.breaker_threshold,
-            shared.breaker_cooldown,
+            config.breaker_threshold,
+            config.breaker_cooldown,
             Instant::now(),
         ) {
             shard_metrics.breaker_open.fetch_add(1, Ordering::Relaxed);
@@ -1435,32 +1411,7 @@ fn process_frame(
     shard_metrics.processed.fetch_add(1, Ordering::Relaxed);
     // Refresh the tenant's live-internals snapshot for the `debug` verb
     // (after breaker bookkeeping, so an opening breaker shows as open).
-    let reorder = state.reorder.get(tenant);
-    let snapshot = TenantDebug {
-        shard,
-        engine: state
-            .engines
-            .get(tenant)
-            .map_or("quarantined", TenantEngine::kind_str),
-        detector_phase: state
-            .engines
-            .get(tenant)
-            .and_then(TenantEngine::detector_phase),
-        breaker: state
-            .breakers
-            .get(tenant)
-            .map_or("closed", Breaker::state_str),
-        reorder_buffered: reorder.map_or(0, |b| b.buf.len()),
-        reorder_last_emitted: reorder.and_then(|b| b.last_emitted),
-        reorder_max_seen: reorder.map_or(0, |b| b.max_seen),
-        reorder_cadence: reorder.and_then(|b| b.cadence),
-        reorder_lag: reorder.map_or(0, |b| {
-            b.max_seen
-                .saturating_sub(b.last_emitted.unwrap_or(b.max_seen))
-        }),
-        last_frame: id.as_str().to_string(),
-        last_checkpoint_unix_ms: state.last_checkpoint.get(tenant).copied(),
-    };
+    let snapshot = state.debug(shard, id);
     lock_recover(&shared.debug).insert(tenant.to_string(), snapshot);
 }
 
@@ -2364,5 +2315,165 @@ mod tests {
             "accounting invariant with quarantines"
         );
         pool.shutdown();
+    }
+
+    /// A pool over a checkpoint store in `spool` (no WAL).
+    fn pool_with_store(
+        cfg: &ServiceConfig,
+        metrics: &Arc<Metrics>,
+        factory: LocalizerFactory,
+        spool: &std::path::Path,
+    ) -> ShardPool {
+        let store = CheckpointStore::open(spool, Arc::clone(metrics)).unwrap();
+        ShardPool::start(
+            cfg,
+            Arc::clone(metrics),
+            sink(metrics),
+            quarantine(metrics),
+            blackbox_writer(metrics),
+            factory,
+            None,
+            Some(Arc::new(store)),
+        )
+    }
+
+    fn spool(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rapd-shard-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Ingest one frame of tenant `t` under a fixed sequence number.
+    fn ingest_seq(pool: &ShardPool, seq: u64, frame: LeafFrame, ts: Option<u64>) {
+        let id = obs::FrameId::adopt(&format!("t-{seq:08x}-0"), seq);
+        pool.ingest(id, "t", frame, ts);
+    }
+
+    #[test]
+    fn a_tenant_restores_once_survives_a_panic_and_restores_again_after_adopt() {
+        let dir = spool("lifecycle");
+        let cooldown = Duration::from_millis(50);
+        // breaker threshold 1: every panic opens the tenant's breaker
+        let cfg = touchy_config(1, cooldown);
+        let s = schema();
+        let steady = || frame(&s, 100.0, 100.0);
+        let collapse = || frame(&s, 0.0, 100.0);
+        // a first pool leaves a snapshot of the tenant in the store
+        {
+            let metrics = Arc::new(Metrics::new(1));
+            let pool = pool_with_store(&cfg, &metrics, default_factory(), &dir);
+            for seq in 1..=3 {
+                ingest_seq(&pool, seq, steady(), None);
+            }
+            assert!(pool.checkpoint_all(Duration::from_secs(10)));
+            pool.shutdown();
+        }
+        let armed = Arc::new(AtomicBool::new(false));
+        let metrics = Arc::new(Metrics::new(1));
+        let pool = pool_with_store(&cfg, &metrics, panicky_factory(&armed), &dir);
+        let flush = || assert!(pool.flush(Duration::from_secs(10)));
+        let restores = || {
+            (
+                metrics.checkpoint_restores.load(Ordering::Relaxed),
+                metrics.detector_rewarms.load(Ordering::Relaxed),
+            )
+        };
+        let debug = || {
+            pool.tenant_debug()
+                .into_iter()
+                .find(|(tenant, _)| tenant == "t")
+                .map(|(_, d)| (d.engine, d.breaker))
+        };
+        // the first frame restores; the next ones reuse the live state
+        for seq in 4..=5 {
+            ingest_seq(&pool, seq, steady(), None);
+        }
+        flush();
+        assert_eq!(restores(), (1, 0));
+        assert_eq!(debug(), Some(("classic", "closed")));
+        // a panicking frame quarantines the pipeline and opens the breaker
+        armed.store(true, Ordering::Relaxed);
+        ingest_seq(&pool, 6, collapse(), None);
+        flush();
+        assert_eq!(metrics.pipeline_restarts_panic.load(Ordering::Relaxed), 1);
+        assert_eq!(debug(), Some(("quarantined", "open")));
+        assert_eq!(metrics.total_breaker_open(), 1);
+        // after the cooldown the probe frame builds a fresh engine; nothing
+        // is restored again
+        armed.store(false, Ordering::Relaxed);
+        std::thread::sleep(cooldown + Duration::from_millis(20));
+        ingest_seq(&pool, 7, steady(), None);
+        flush();
+        assert_eq!(debug(), Some(("classic", "closed")));
+        assert_eq!(metrics.total_breaker_open(), 0);
+        assert_eq!(restores(), (1, 0));
+        // panic again, so the adopt finds an open breaker
+        armed.store(true, Ordering::Relaxed);
+        ingest_seq(&pool, 8, collapse(), None);
+        flush();
+        assert_eq!(metrics.total_breaker_open(), 1);
+        armed.store(false, Ordering::Relaxed);
+        assert!(pool.adopt("t", Duration::from_secs(10)));
+        assert_eq!(debug(), None, "adopt forgets the tenant's debug entry");
+        assert_eq!(
+            metrics.total_breaker_open(),
+            0,
+            "adopt takes the dropped breaker out of the gauge"
+        );
+        // the tenant's next frame restores from the store again
+        ingest_seq(&pool, 9, steady(), None);
+        flush();
+        assert_eq!(restores(), (2, 0));
+        pool.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn adopting_a_quarantined_tenant_checkpoints_every_consumed_frame() {
+        let dir = spool("adopt-panic");
+        let armed = Arc::new(AtomicBool::new(true));
+        let metrics = Arc::new(Metrics::new(1));
+        let cfg = touchy_config(0, Duration::from_secs(1));
+        let pool = pool_with_store(&cfg, &metrics, panicky_factory(&armed), &dir);
+        let s = schema();
+        for seq in 1..=3 {
+            ingest_seq(&pool, seq, frame(&s, 100.0, 100.0), None);
+        }
+        assert!(pool.checkpoint_all(Duration::from_secs(10)));
+        // the collapse frame alarms, and the armed localizer panics
+        ingest_seq(&pool, 4, frame(&s, 0.0, 100.0), None);
+        assert!(pool.flush(Duration::from_secs(10)));
+        assert_eq!(metrics.pipeline_restarts_panic.load(Ordering::Relaxed), 1);
+        assert!(pool.adopt("t", Duration::from_secs(10)));
+        pool.shutdown();
+        let store = CheckpointStore::open(&dir, Arc::clone(&metrics)).unwrap();
+        let checkpoint = store.load("t").expect("a snapshot of the tenant");
+        // the final checkpoint covers the panicked frame, so a handoff
+        // replays nothing the source already processed
+        assert_eq!(checkpoint.frame_seq, 4);
+        assert_eq!(checkpoint.wal_ack, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_adopt_checkpoints_the_tenants_reorder_watermarks() {
+        let dir = spool("adopt-reorder");
+        let cfg = small_config(64);
+        let metrics = Arc::new(Metrics::new(cfg.shards));
+        let pool = pool_with_store(&cfg, &metrics, default_factory(), &dir);
+        let s = schema();
+        for k in 1..=3 {
+            ingest_seq(&pool, k, frame(&s, 50.0, 50.0), Some(k * MINUTE));
+        }
+        assert!(pool.adopt("t", Duration::from_secs(10)));
+        pool.shutdown();
+        let store = CheckpointStore::open(&dir, Arc::clone(&metrics)).unwrap();
+        let checkpoint = store.load("t").expect("a snapshot of the tenant");
+        // the next owner resumes behind the same watermark, so a replayed
+        // timestamp is quarantined there as it would have been here
+        assert_eq!(checkpoint.reorder_last_emitted, Some(3 * MINUTE));
+        assert_eq!(checkpoint.reorder_max_seen, 3 * MINUTE);
+        assert_eq!(checkpoint.wal_ack, 3);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
