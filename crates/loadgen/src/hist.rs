@@ -9,9 +9,9 @@
 //! whole `[0, u64::MAX]` nanosecond range fits in a few kilobytes.
 //!
 //! This is a from-scratch zero-dependency implementation of that layout:
-//! values below [`SUB`] are exact; above, the index is the value's octave
+//! values below `SUB` (32) are exact; above, the index is the value's octave
 //! (position of its highest set bit) concatenated with its top
-//! [`SUB_BITS`] mantissa bits. Buckets are plain `u64`s — recording
+//! `SUB_BITS` (5) mantissa bits. Buckets are plain `u64`s — recording
 //! threads own private histograms and [`LogHistogram::merge`] combines
 //! them at the end of a run, so the hot path is one shift, one subtract,
 //! and one increment with no atomics.

@@ -14,7 +14,7 @@
 //!   JSON serializer;
 //! * [`hist`] is a from-scratch HDR-style log-bucketed histogram for
 //!   nanosecond latencies (p50/p90/p99/p999 within 3.1 %);
-//! * [`run`] replays the book over real TCP connections with open-loop
+//! * [`mod@run`] replays the book over real TCP connections with open-loop
 //!   pacing, classifies every reply (acked / parked / shed /
 //!   quarantined), traces injected anomalies to incidents for an
 //!   ingest→incident e2e distribution, and reconciles its ledger with

@@ -275,7 +275,7 @@ impl LeafFrameBuilder {
     /// Panics if `elements.len()` differs from the schema's attribute count
     /// or an element id is out of range for its attribute.
     pub fn push(&mut self, elements: &[ElementId], v: f64, f: f64) -> &mut Self {
-        let schema = self.frame.schema.clone();
+        let schema = &self.frame.schema;
         assert_eq!(
             elements.len(),
             schema.num_attributes(),
@@ -319,7 +319,7 @@ impl LeafFrameBuilder {
     /// Fails when a name does not resolve or an attribute is missing or
     /// duplicated.
     pub fn push_named(&mut self, pairs: &[(&str, &str)], v: f64, f: f64) -> Result<&mut Self> {
-        let schema = self.frame.schema.clone();
+        let schema = &self.frame.schema;
         let mut elems: Vec<Option<ElementId>> = vec![None; schema.num_attributes()];
         for (attr, elem) in pairs {
             let (a, e) = schema.resolve(attr, elem)?;

@@ -39,22 +39,97 @@
 //!
 //! [`ServiceConfig::schema_drift_limit`]: crate::ServiceConfig::schema_drift_limit
 
+use std::borrow::Cow;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use mdkpi::{ElementId, Schema};
+use mdkpi::{AttrId, ElementId, LeafFrame, Schema};
 
-use crate::proto::ProtoError;
+use crate::proto::{parse_request, ProtoError, Request, RowSink};
 use crate::sync::lock_recover;
 
 /// Wire rows as they arrive: positional element names plus a value.
 pub(crate) type WireRows = Vec<(Vec<String>, f64)>;
 
+/// An observe frame's rows as admission receives them: each element name
+/// resolved against the tenant's schema as [`crate::proto::read_request`]
+/// read it, so a row is its element ids plus its value. A name the schema
+/// does not know keeps only its attribute and the raw name, for the drift
+/// registry.
+#[derive(Debug)]
+pub(crate) struct IdRows<'a> {
+    schema: Schema,
+    /// The observe line, read again for a quarantine record.
+    line: &'a str,
+    /// `schema.num_attributes()` ids per row; a drifted row's are padding.
+    ids: Vec<ElementId>,
+    values: Vec<f64>,
+    /// Each row holding a name the schema does not know, in row order:
+    /// the row, and its first unknown name with that name's attribute.
+    drifted: Vec<(usize, AttrId, Cow<'a, str>)>,
+    /// The element count of the first row whose count differs from the
+    /// schema's attribute count.
+    arity: Option<usize>,
+    /// The first unknown name of the row being read.
+    unknown: Option<(AttrId, Cow<'a, str>)>,
+}
+
+impl<'a> IdRows<'a> {
+    /// Empty rows of `line`, to be resolved against `schema`.
+    pub fn new(schema: Schema, line: &'a str) -> Self {
+        IdRows {
+            schema,
+            line,
+            ids: Vec::new(),
+            values: Vec::new(),
+            drifted: Vec::new(),
+            arity: None,
+            unknown: None,
+        }
+    }
+
+    /// The rows exactly as received, read again from the line: what a
+    /// quarantine record keeps.
+    fn received(&self) -> WireRows {
+        match parse_request(self.line, usize::MAX) {
+            Ok(Request::Observe { rows, .. }) => rows,
+            _ => WireRows::new(),
+        }
+    }
+}
+
+impl<'a> RowSink<'a> for IdRows<'a> {
+    fn name(&mut self, index: usize, name: Cow<'a, str>) {
+        if index >= self.schema.num_attributes() || self.unknown.is_some() {
+            return;
+        }
+        let attr = AttrId(index as u16);
+        match self.schema.attribute(attr).element(&name) {
+            Some(id) => self.ids.push(id),
+            None => self.unknown = Some((attr, name)),
+        }
+    }
+
+    fn row(&mut self, names: usize, value: f64) {
+        let width = self.schema.num_attributes();
+        let row = self.values.len();
+        if names != width {
+            self.arity.get_or_insert(names);
+        }
+        if let Some((attr, name)) = self.unknown.take() {
+            self.drifted.push((row, attr, name));
+        }
+        // pads a drifted or short row, whose ids nothing reads
+        self.ids.resize((row + 1) * width, ElementId(0));
+        self.values.push(value);
+    }
+}
+
 /// What admission decided about one frame.
 #[derive(Debug)]
 pub(crate) enum Verdict {
-    /// The frame (possibly repaired) is safe for
-    /// [`crate::proto::build_frame`].
+    /// The frame (possibly repaired) is safe for the shard pipelines.
     Admit(Admitted),
     /// Divert the whole frame to the quarantine spool.
     Quarantine {
@@ -68,11 +143,13 @@ pub(crate) enum Verdict {
 }
 
 /// An admitted frame and the repairs applied on the way in.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Admitted {
-    /// Sanitized rows: drifted rows stripped, duplicates collapsed,
-    /// negatives clamped. Every element name resolves in the schema.
-    pub rows: WireRows,
+    schema: Schema,
+    /// Sanitized rows, `schema.num_attributes()` element ids each:
+    /// drifted rows stripped, duplicates collapsed, negatives clamped.
+    ids: Vec<ElementId>,
+    values: Vec<f64>,
     /// Extra occurrences of duplicated leaves collapsed keep-last.
     pub repaired_duplicate: u64,
     /// Negative values clamped to zero.
@@ -86,6 +163,36 @@ impl Admitted {
     /// Whether any repair was applied.
     pub fn repaired(&self) -> bool {
         self.repaired_duplicate + self.repaired_negative + self.repaired_drift > 0
+    }
+
+    /// Each row's element ids and value.
+    fn rows(&self) -> impl Iterator<Item = (&[ElementId], f64)> {
+        let width = self.schema.num_attributes();
+        self.ids
+            .chunks_exact(width)
+            .zip(self.values.iter().copied())
+    }
+
+    /// Each row's element names, the schema's own, and value: what the
+    /// WAL journals.
+    pub fn named_rows(&self) -> impl Iterator<Item = (impl Iterator<Item = &str>, f64)> {
+        self.rows().map(|(leaf, value)| {
+            let names = leaf
+                .iter()
+                .enumerate()
+                .map(|(attr, &id)| self.schema.attribute(AttrId(attr as u16)).element_name(id));
+            (names, value)
+        })
+    }
+
+    /// The frame the shard pipelines take: the ids copied, no name looked
+    /// up again.
+    pub fn frame(&self) -> LeafFrame {
+        let mut builder = LeafFrame::builder(&self.schema);
+        for (leaf, value) in self.rows() {
+            builder.push(leaf, value, 0.0);
+        }
+        builder.build()
     }
 }
 
@@ -116,111 +223,115 @@ impl AdmissionControl {
             .map_or(0, HashSet::len)
     }
 
-    /// Judge one frame's rows against the tenant's schema.
+    /// Judge one frame's rows, read against the tenant's schema.
     ///
     /// # Errors
     ///
     /// [`ProtoError::Arity`] when a row's element count differs from the
     /// schema's attribute count — a protocol error, not dirty data, so
     /// the frame must not count as ingested.
-    pub fn admit(
-        &self,
-        tenant: &str,
-        schema: &Schema,
-        mut rows: WireRows,
-    ) -> Result<Verdict, ProtoError> {
-        let num_attrs = schema.num_attributes();
-        for (names, _) in &rows {
-            if names.len() != num_attrs {
-                return Err(ProtoError::Arity {
-                    expected: num_attrs,
-                    got: names.len(),
-                });
-            }
+    pub fn admit(&self, tenant: &str, rows: IdRows<'_>) -> Result<Verdict, ProtoError> {
+        let width = rows.schema.num_attributes();
+        if let Some(got) = rows.arity {
+            return Err(ProtoError::Arity {
+                expected: width,
+                got,
+            });
         }
-        if let Some((names, value)) = rows.iter().find(|(_, value)| !value.is_finite()) {
-            let detail = format!("leaf ({}) value {value} is not finite", names.join(", "));
+        if let Some(row) = rows.values.iter().position(|value| !value.is_finite()) {
+            let received = rows.received();
+            let names = received
+                .get(row)
+                .map_or_else(String::new, |(names, _)| names.join(", "));
+            let detail = format!("leaf ({names}) value {} is not finite", rows.values[row]);
             return Ok(Verdict::Quarantine {
                 reason: "non_finite",
                 detail,
-                rows,
+                rows: received,
             });
         }
 
-        // Schema drift, in one read-only pass that resolves every name
-        // once: strip rows with known-drifted values; a new unknown value
-        // beyond the allowance quarantines the untouched frame. Only a
-        // row's first unknown value is judged.
-        let mut keep = vec![true; rows.len()];
-        let mut ids: Vec<ElementId> = Vec::with_capacity(rows.len() * num_attrs);
+        // Schema drift: strip rows with known-drifted values; a new
+        // unknown value beyond the allowance quarantines the untouched
+        // frame. Only a row's first unknown value is judged.
+        let mut keep = vec![true; rows.values.len()];
         let mut repaired_drift = 0u64;
-        let mut drifted = None;
-        for (row, (names, _)) in rows.iter().enumerate() {
-            let start = ids.len();
-            for (attr_id, name) in schema.attr_ids().zip(names) {
-                let attr = schema.attribute(attr_id);
-                if let Some(id) = attr.element(name) {
-                    ids.push(id);
-                    continue;
-                }
-                let registry = drifted
-                    .get_or_insert_with(|| lock_recover(&self.drifted))
-                    .entry(tenant.to_string())
-                    .or_default();
-                let key = (attr.name().to_string(), name.clone());
+        if !rows.drifted.is_empty() {
+            let mut drifted = lock_recover(&self.drifted);
+            let registry = drifted.entry(tenant.to_string()).or_default();
+            for (row, attr, name) in &rows.drifted {
+                let key = (
+                    rows.schema.attribute(*attr).name().to_string(),
+                    name.to_string(),
+                );
                 if !registry.contains(&key) {
                     if registry.len() >= self.drift_limit {
                         let detail = format!(
                             "unknown {}=\"{}\" exceeds the drift allowance of {}",
                             key.0, key.1, self.drift_limit
                         );
+                        drop(drifted);
                         return Ok(Verdict::Quarantine {
                             reason: "schema_drift",
                             detail,
-                            rows,
+                            rows: rows.received(),
                         });
                     }
                     registry.insert(key);
                 }
                 repaired_drift += 1;
-                ids.truncate(start);
-                keep[row] = false;
-                break;
+                keep[*row] = false;
             }
         }
-        drop(drifted);
-        if !rows.is_empty() && !keep.contains(&true) {
+        if !keep.is_empty() && !keep.contains(&true) {
             return Ok(Verdict::Quarantine {
                 reason: "schema_drift",
                 detail: "every row referenced unknown attribute values".to_string(),
-                rows,
+                rows: rows.received(),
             });
         }
 
-        // Duplicate leaves, keyed on the resolved ids: keep the last value
-        // at the first occurrence's position, so row order stays stable
-        // for downstream comparison.
-        let mut leaves = ids.chunks_exact(num_attrs);
-        let mut first: HashMap<&[ElementId], usize> = HashMap::with_capacity(rows.len());
+        // Duplicate leaves: keep the last value at the first occurrence's
+        // position, so row order stays stable for downstream comparison.
+        let IdRows {
+            schema,
+            mut ids,
+            mut values,
+            ..
+        } = rows;
         let mut repaired_duplicate = 0u64;
-        for row in 0..rows.len() {
+        let mut first: HashMap<&[ElementId], usize> = HashMap::with_capacity(values.len());
+        for (row, leaf) in ids.chunks_exact(width).enumerate() {
             if !keep[row] {
                 continue;
             }
-            let Some(leaf) = leaves.next() else { break };
-            if let Some(&at) = first.get(leaf) {
-                rows[at].1 = rows[row].1;
-                keep[row] = false;
-                repaired_duplicate += 1;
-            } else {
-                first.insert(leaf, row);
+            match first.entry(leaf) {
+                Entry::Occupied(at) => {
+                    values[*at.get()] = values[row];
+                    keep[row] = false;
+                    repaired_duplicate += 1;
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(row);
+                }
             }
         }
-        let mut keep = keep.into_iter();
-        rows.retain(|_| keep.next() == Some(true));
+        drop(first);
+        let mut kept = 0;
+        for row in 0..values.len() {
+            if keep[row] {
+                if kept != row {
+                    ids.copy_within(row * width..(row + 1) * width, kept * width);
+                    values[kept] = values[row];
+                }
+                kept += 1;
+            }
+        }
+        ids.truncate(kept * width);
+        values.truncate(kept);
 
         let mut repaired_negative = 0u64;
-        for (_, value) in &mut rows {
+        for value in &mut values {
             if *value < 0.0 {
                 *value = 0.0;
                 repaired_negative += 1;
@@ -228,7 +339,9 @@ impl AdmissionControl {
         }
 
         Ok(Verdict::Admit(Admitted {
-            rows,
+            schema,
+            ids,
+            values,
             repaired_duplicate,
             repaired_negative,
             repaired_drift,
@@ -239,6 +352,8 @@ impl AdmissionControl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::Json;
+    use crate::proto::read_request;
 
     fn schema() -> Schema {
         Schema::builder()
@@ -252,9 +367,58 @@ mod tests {
         (vec![l.to_string(), i.to_string()], v)
     }
 
+    /// An observe line of `rows` for `tenant`; NaN and the infinities
+    /// render as `null`.
+    fn observe_line(tenant: &str, rows: &[(Vec<String>, f64)]) -> String {
+        let rows = rows
+            .iter()
+            .map(|(names, value)| {
+                Json::Arr(vec![
+                    Json::Arr(names.iter().map(Json::str).collect()),
+                    Json::Num(*value),
+                ])
+            })
+            .collect();
+        Json::Obj(vec![
+            ("type".to_string(), Json::str("observe")),
+            ("tenant".to_string(), Json::str(tenant)),
+            ("rows".to_string(), Json::Arr(rows)),
+        ])
+        .render()
+    }
+
+    /// Admit `rows` as the observe path does: an observe line, read into
+    /// id rows. JSON cannot carry an infinity, so an infinite value is set
+    /// on the id row after the read.
+    fn admit_for(
+        ac: &AdmissionControl,
+        tenant: &str,
+        s: &Schema,
+        rows: &[(Vec<String>, f64)],
+    ) -> Result<Verdict, ProtoError> {
+        let line = observe_line(tenant, rows);
+        let Ok(Request::Observe { rows: mut read, .. }) =
+            read_request(&line, usize::MAX, |_| IdRows::new(s.clone(), &line))
+        else {
+            panic!("not an observe line: {line}");
+        };
+        for (slot, (_, value)) in read.values.iter_mut().zip(rows) {
+            if value.is_infinite() {
+                *slot = *value;
+            }
+        }
+        ac.admit(tenant, read)
+    }
+
     fn admit(ac: &AdmissionControl, rows: &[(Vec<String>, f64)]) -> Verdict {
-        ac.admit("t", &schema(), rows.to_vec())
-            .expect("no protocol error")
+        admit_for(ac, "t", &schema(), rows).expect("no protocol error")
+    }
+
+    /// An admitted frame's rows by name.
+    fn named(a: &Admitted) -> Vec<(Vec<String>, f64)> {
+        a.named_rows()
+            .map(|(names, value)| (names.map(str::to_string).collect(), value))
+            .collect()
     }
 
     #[test]
@@ -263,7 +427,7 @@ mod tests {
         let rows = vec![row("L1", "I1", 10.0), row("L2", "I2", 20.0)];
         match admit(&ac, &rows) {
             Verdict::Admit(a) => {
-                assert_eq!(a.rows, rows);
+                assert_eq!(named(&a), rows);
                 assert!(!a.repaired());
             }
             other => panic!("clean frame must be admitted: {other:?}"),
@@ -274,7 +438,7 @@ mod tests {
     fn arity_mismatch_is_a_protocol_error_not_a_quarantine() {
         let ac = AdmissionControl::new(8);
         let rows = vec![(vec!["L1".to_string()], 1.0)];
-        let err = ac.admit("t", &schema(), rows).unwrap_err();
+        let err = admit_for(&ac, "t", &schema(), &rows).unwrap_err();
         assert_eq!(
             err,
             ProtoError::Arity {
@@ -307,8 +471,8 @@ mod tests {
         let rows = vec![row("L1", "I1", -3.0), row("L2", "I2", 7.0)];
         match admit(&ac, &rows) {
             Verdict::Admit(a) => {
-                assert_eq!(a.rows[0].1, 0.0);
-                assert_eq!(a.rows[1].1, 7.0);
+                assert_eq!(named(&a)[0].1, 0.0);
+                assert_eq!(named(&a)[1].1, 7.0);
                 assert_eq!(a.repaired_negative, 1);
                 assert_eq!(a.repaired_duplicate + a.repaired_drift, 0);
             }
@@ -327,7 +491,7 @@ mod tests {
         ];
         match admit(&ac, &rows) {
             Verdict::Admit(a) => {
-                assert_eq!(a.rows, vec![row("L1", "I1", 4.0), row("L2", "I2", 2.0)]);
+                assert_eq!(named(&a), vec![row("L1", "I1", 4.0), row("L2", "I2", 2.0)]);
                 assert_eq!(a.repaired_duplicate, 2, "one repair per extra occurrence");
             }
             other => panic!("duplicates must be repaired: {other:?}"),
@@ -344,7 +508,7 @@ mod tests {
         ];
         match admit(&ac, &rows) {
             Verdict::Admit(a) => {
-                assert_eq!(a.rows, vec![row("L1", "I1", 1.0)]);
+                assert_eq!(named(&a), vec![row("L1", "I1", 1.0)]);
                 assert_eq!(a.repaired_drift, 2);
             }
             other => panic!("drift within allowance must repair: {other:?}"),
@@ -355,7 +519,7 @@ mod tests {
         let rows = vec![row("L9", "I1", 4.0), row("L2", "I2", 5.0)];
         match admit(&ac, &rows) {
             Verdict::Admit(a) => {
-                assert_eq!(a.rows, vec![row("L2", "I2", 5.0)]);
+                assert_eq!(named(&a), vec![row("L2", "I2", 5.0)]);
                 assert_eq!(a.repaired_drift, 1);
             }
             other => panic!("registered drift must keep repairing: {other:?}"),
@@ -430,12 +594,12 @@ mod tests {
         let ac = AdmissionControl::new(1);
         let s = schema();
         assert!(matches!(
-            ac.admit("a", &s, vec![row("L9", "I1", 1.0), row("L1", "I1", 2.0)]),
+            admit_for(&ac, "a", &s, &[row("L9", "I1", 1.0), row("L1", "I1", 2.0)]),
             Ok(Verdict::Admit(_))
         ));
         // tenant "b" has its own empty registry with its own allowance
         assert!(matches!(
-            ac.admit("b", &s, vec![row("L8", "I1", 1.0), row("L1", "I1", 2.0)]),
+            admit_for(&ac, "b", &s, &[row("L8", "I1", 1.0), row("L1", "I1", 2.0)]),
             Ok(Verdict::Admit(_))
         ));
         assert_eq!(ac.drift_len("a"), 1);
@@ -454,7 +618,7 @@ mod tests {
         ];
         match admit(&ac, &rows) {
             Verdict::Admit(a) => {
-                assert_eq!(a.rows, vec![row("L1", "I1", 0.0), row("L2", "I2", 6.0)]);
+                assert_eq!(named(&a), vec![row("L1", "I1", 0.0), row("L2", "I2", 6.0)]);
                 assert_eq!(a.repaired_drift, 1);
                 assert_eq!(a.repaired_duplicate, 1);
                 assert_eq!(a.repaired_negative, 1, "only the surviving value clamps");

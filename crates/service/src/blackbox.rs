@@ -10,8 +10,8 @@
 //! # File format
 //!
 //! A dump is JSONL with the logs' `{json}\t{crc32:08x}` framing (see
-//! [`crate::segment`]), so a dump torn by the very crash it was recording
-//! still recovers line-by-line:
+//! the `segment` module), so a dump torn by the very crash it was
+//! recording still recovers line-by-line:
 //!
 //! 1. one header line: `{"kind":"blackbox","trigger":...,"tenant":...,
 //!    "frame":...,"ts_micros":...,"rings":N}`;

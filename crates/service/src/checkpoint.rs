@@ -20,7 +20,7 @@
 //! # Atomicity and fallback
 //!
 //! Writes go through the logs' atomic replace
-//! ([`crate::segment::replace`]): a temp file, `fsync`, then two renames —
+//! (`segment::replace`): a temp file, `fsync`, then two renames —
 //! the current snapshot becomes `<stem>.json.prev`, the temp file becomes
 //! current. A crash at any point leaves a valid current or previous
 //! snapshot. Loads fall back in order — current, then `.prev`, then cold

@@ -5,6 +5,7 @@
 //! this module hand-rolls the small JSON subset rapd speaks: objects,
 //! arrays, strings (with escapes), finite numbers, booleans, and null.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 use obs::write_json_string;
@@ -59,9 +60,7 @@ impl Json {
     /// The numeric payload as a non-negative integer, if it is one exactly.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) => exact_u64(*n),
             _ => None,
         }
     }
@@ -155,9 +154,12 @@ impl fmt::Display for Json {
     }
 }
 
-// `fmt::Write` for `String` never fails, so the `write!` results below are
-// discarded.
-fn write_number(n: f64, out: &mut String) {
+/// Append `n` as [`Json::Num`] renders it: an integer without a fraction
+/// below 1e15, otherwise Rust's shortest round-trip form, and `null` for
+/// NaN and the infinities.
+pub(crate) fn write_number(n: f64, out: &mut String) {
+    // `fmt::Write` for `String` never fails, so the `write!` results are
+    // discarded.
     if !n.is_finite() {
         // JSON cannot express NaN/Infinity; null is the lossless-ish fallback
         out.push_str("null");
@@ -168,41 +170,78 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
+/// `n` as a non-negative integer, if it is one exactly.
+pub(crate) fn exact_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n <= u64::MAX as f64).then_some(n as u64)
+}
+
 /// Parse one JSON document, requiring it to span the whole input.
 ///
 /// # Errors
 ///
 /// Returns a human-readable description of the first syntax error.
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser {
-        text: input,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    let mut s = Scanner::new(input);
+    s.skip_ws();
+    let v = s.value()?;
+    s.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
+/// The one JSON tokenizer: a cursor over a document that reads it token
+/// by token. [`parse`] builds its tree from these steps, and the observe
+/// reader (`proto::read_request`) walks an observe line with the same
+/// ones, so the two accept the same documents and report the same first
+/// error at the same byte.
+///
+/// A container is read with [`Scanner::open`], then one value (preceded
+/// by [`Scanner::key`] in an object) per [`Scanner::next`] that returns
+/// `true`; every step leaves the cursor on the next token.
+pub(crate) struct Scanner<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<u8> {
+impl<'a> Scanner<'a> {
+    /// A cursor at byte `pos` of `text`, which must be a token boundary
+    /// an earlier scan recorded with [`Scanner::pos`].
+    pub(crate) fn at(text: &'a str, pos: usize) -> Self {
+        Scanner {
+            text,
+            bytes: text.as_bytes(),
+            pos,
+        }
+    }
+
+    /// A cursor at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Scanner::at(text, 0)
+    }
+
+    /// The cursor's byte offset.
+    pub(crate) fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// The byte under the cursor.
+    pub(crate) fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    pub(crate) fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+    }
+
+    /// Only whitespace may follow the document.
+    pub(crate) fn finish(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing data at byte {}", self.pos));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -214,30 +253,135 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Enter an array (`open` `[`, `close` `]`) or an object (`{`, `}`):
+    /// `true` when a member follows, with the cursor on it, `false` after
+    /// the close of an empty one.
+    pub(crate) fn open(&mut self, open: u8, close: u8) -> Result<bool, String> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(false);
+        }
+        Ok(true)
+    }
+
+    /// After a member: `true` when a comma and another member follow,
+    /// with the cursor on it, `false` after the container's `close`.
+    pub(crate) fn next(&mut self, close: u8) -> Result<bool, String> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(c) if c == close => {
+                self.pos += 1;
+                Ok(false)
+            }
+            _ => Err(format!(
+                "expected ',' or '{}' at byte {}",
+                close as char, self.pos
+            )),
+        }
+    }
+
+    /// An object member's key and its colon; the cursor ends on the value.
+    pub(crate) fn key(&mut self) -> Result<Cow<'a, str>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Consume one value, checking it as [`parse`] would, without
+    /// building it.
+    pub(crate) fn skip_value(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => {
+                if self.open(b'{', b'}')? {
+                    loop {
+                        self.key()?;
+                        self.skip_value()?;
+                        if !self.next(b'}')? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'[') => {
+                if self.open(b'[', b']')? {
+                    loop {
+                        self.skip_value()?;
+                        if !self.next(b']')? {
+                            break;
+                        }
+                    }
+                }
+                Ok(())
+            }
+            Some(b'"') => self.string().map(drop),
+            Some(b't') => self.literal("true"),
+            Some(b'f') => self.literal("false"),
+            Some(b'n') => self.literal("null"),
+            Some(b'-' | b'0'..=b'9') => self.number().map(drop),
             Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
             None => Err("unexpected end of input".to_string()),
         }
     }
 
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                if self.open(b'{', b'}')? {
+                    loop {
+                        let key = self.key()?.into_owned();
+                        pairs.push((key, self.value()?));
+                        if !self.next(b'}')? {
+                            break;
+                        }
+                    }
+                }
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                if self.open(b'[', b']')? {
+                    loop {
+                        items.push(self.value()?);
+                        if !self.next(b']')? {
+                            break;
+                        }
+                    }
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b't') => self.literal("true").map(|()| Json::Bool(true)),
+            Some(b'f') => self.literal("false").map(|()| Json::Bool(false)),
+            Some(b'n') => self.literal("null").map(|()| Json::Null),
+            Some(b'-' | b'0'..=b'9') => self.number().map(Json::Num),
+            Some(c) => Err(format!("unexpected '{}' at byte {}", c as char, self.pos)),
+            None => Err("unexpected end of input".to_string()),
+        }
+    }
+
+    /// A literal word: `true`, `false` or `null`.
+    pub(crate) fn literal(&mut self, word: &str) -> Result<(), String> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(())
         } else {
             Err(format!("bad literal at byte {}", self.pos))
         }
     }
 
-    fn number(&mut self) -> Result<Json, String> {
+    /// A number; JSON has no NaN or infinity, so it is always finite.
+    pub(crate) fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -248,33 +392,40 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         let n: f64 = text
             .parse()
             .map_err(|_| format!("bad number '{text}' at byte {start}"))?;
         if !n.is_finite() {
             return Err(format!("number '{text}' overflows a double"));
         }
-        Ok(Json::Num(n))
+        Ok(n)
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string, borrowed from the text unless it holds an escape.
+    pub(crate) fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            // Copy the run up to the next quote or backslash in one go.
-            // Both delimiters are ASCII, so the run ends on a char boundary.
-            let start = self.pos;
-            self.pos += self.bytes[start..]
+        let start = self.pos;
+        // Runs end at the next quote or backslash. Both delimiters are
+        // ASCII, so every run ends on a char boundary.
+        let run = |s: &Self| {
+            s.bytes[s.pos..]
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\')
-                .unwrap_or(self.bytes.len() - start);
-            out.push_str(&self.text[start..self.pos]);
+                .unwrap_or(s.bytes.len() - s.pos)
+        };
+        self.pos += run(self);
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&self.text[start..self.pos - 1]));
+        }
+        let mut out = self.text[start..self.pos].to_string();
+        loop {
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 _ => {
                     self.pos += 1;
@@ -308,6 +459,9 @@ impl Parser<'_> {
                     }
                 }
             }
+            let start = self.pos;
+            self.pos += run(self);
+            out.push_str(&self.text[start..self.pos]);
         }
     }
 
@@ -332,57 +486,6 @@ impl Parser<'_> {
         let cp = u32::from_str_radix(hex, 16).map_err(|_| format!("bad \\u escape '{hex}'"))?;
         self.pos += 4;
         Ok(cp)
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
     }
 }
 

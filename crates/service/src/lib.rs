@@ -32,7 +32,7 @@
 //!   truncated on restart) and kept in a bounded in-memory ring queryable
 //!   over the control socket. Spool I/O failure degrades the sink to
 //!   ring-only mode rather than failing ingestion.
-//! * **Fault tolerance** ([`shard`], [`sync`]): per-frame `catch_unwind`
+//! * **Fault tolerance** ([`shard`], `sync`): per-frame `catch_unwind`
 //!   quarantines a panicking tenant pipeline (dropped and rebuilt), a
 //!   supervisor respawns dead worker threads, a per-tenant circuit breaker
 //!   sheds frames from persistently failing tenants, and poisoned locks
@@ -122,3 +122,6 @@ pub fn default_factory() -> LocalizerFactory {
         )) as Box<dyn Localizer>
     })
 }
+
+#[cfg(test)]
+mod reader_diff;

@@ -27,6 +27,7 @@
 //! are accepted at the protocol layer and diverted by admission control,
 //! never parsed as errors.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -37,11 +38,13 @@ use std::time::Duration;
 
 use mdkpi::{ElementId, LeafFrame, Schema};
 
-use crate::json::{parse, Json};
+use crate::json::{exact_u64, parse, Json, Scanner};
 
-/// One parsed client request.
+/// One parsed client request. `R` holds an observe's rows: the element
+/// names as received for [`parse_request`], or whatever a crate-internal
+/// reader resolved them into while reading the line.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Request {
+pub enum Request<R = Vec<(Vec<String>, f64)>> {
     /// Register (or idempotently re-register) a tenant's schema.
     Schema {
         /// The tenant id.
@@ -56,7 +59,7 @@ pub enum Request {
         /// `(elements, value)` rows; elements are positional per the
         /// registered schema's attribute order. A value may be NaN (wire
         /// form: JSON `null`) — admission control quarantines such frames.
-        rows: Vec<(Vec<String>, f64)>,
+        rows: R,
         /// Optional event timestamp in milliseconds. Present → the frame
         /// goes through the watermark reorder buffer; absent → it is
         /// processed in arrival order.
@@ -252,12 +255,310 @@ impl ProtoError {
 /// Any malformed input is a typed [`ProtoError`]; this function never
 /// panics on untrusted bytes.
 pub fn parse_request(line: &str, max_bytes: usize) -> Result<Request, ProtoError> {
+    read_request(line, max_bytes, |_| Vec::new())
+}
+
+/// Receives an observe line's rows as [`read_request`] reads them: each
+/// row's element names in order, then its value. A row of the wrong shape
+/// can stop after some of its names; the request then fails and the sink
+/// is dropped.
+pub(crate) trait RowSink<'a> {
+    /// The current row's element name at position `index`.
+    fn name(&mut self, index: usize, name: Cow<'a, str>);
+    /// The value that ends the current row, which had `names` names.
+    fn row(&mut self, names: usize, value: f64);
+}
+
+/// Keeps nothing: for a reader that needs only the tenant and whether the
+/// line has the observe shape.
+impl<'a> RowSink<'a> for () {
+    fn name(&mut self, _: usize, _: Cow<'a, str>) {}
+    fn row(&mut self, _: usize, _: f64) {}
+}
+
+/// `None` checks the rows' shape and keeps nothing: a tenant with no
+/// schema to resolve them against.
+impl<'a, S: RowSink<'a>> RowSink<'a> for Option<S> {
+    fn name(&mut self, index: usize, name: Cow<'a, str>) {
+        if let Some(sink) = self {
+            sink.name(index, name);
+        }
+    }
+
+    fn row(&mut self, names: usize, value: f64) {
+        if let Some(sink) = self {
+            sink.row(names, value);
+        }
+    }
+}
+
+/// The rows as received, names owned: [`parse_request`]'s form.
+impl<'a> RowSink<'a> for Vec<(Vec<String>, f64)> {
+    fn name(&mut self, index: usize, name: Cow<'a, str>) {
+        if index == 0 {
+            self.push((Vec::new(), f64::NAN));
+        }
+        if let Some((names, _)) = self.last_mut() {
+            names.push(name.into_owned());
+        }
+    }
+
+    fn row(&mut self, names: usize, value: f64) {
+        match self.last_mut() {
+            Some(last) if names > 0 => last.1 = value,
+            _ => self.push((Vec::new(), value)),
+        }
+    }
+}
+
+/// Read one request line, enforcing the frame-size cap. An observe line
+/// is read in one pass: a key scan finds `type`, `tenant` and `ts` (the
+/// first of each wins, as with [`Json::get`]) and checks every other
+/// value, and the rows go to the sink `rows_for(tenant)` returns as they
+/// are read. That is in the same pass when `type` and `tenant` come
+/// before `rows`; otherwise the scan skips `rows` and they are read from
+/// their offset once it ends. Every other message is read through a
+/// [`Json`] tree.
+///
+/// The errors are [`parse_request`]'s, in the same precedence: a syntax
+/// error before any shape error, and a wrong `tenant` before wrong `rows`
+/// before a wrong `ts`.
+pub(crate) fn read_request<'a, S: RowSink<'a>>(
+    line: &'a str,
+    max_bytes: usize,
+    mut rows_for: impl FnMut(&str) -> S,
+) -> Result<Request<S>, ProtoError> {
     if line.len() > max_bytes {
         return Err(ProtoError::Oversized {
             len: line.len(),
             max: max_bytes,
         });
     }
+    match scan_observe(&mut Scanner::new(line), &mut rows_for) {
+        Err(e) => Err(ProtoError::BadJson(e)),
+        Ok(Some(found)) => found.into_request(line, rows_for),
+        Ok(None) => parse_tree(line),
+    }
+}
+
+/// The shape an observe's `rows` must have.
+const ROWS_SHAPE: &str = "an array of [[elements...], value] pairs";
+
+/// Where an observe line's key scan left its `rows`.
+enum Rows<S> {
+    /// Read during the scan into the sink; `false` when some value had
+    /// the wrong shape.
+    Read(S, bool),
+    /// Skipped by the scan, which met `rows` before `type` or `tenant`:
+    /// the value's byte offset.
+    At(usize),
+}
+
+/// What the key scan found on an observe line: for `tenant` and `ts`,
+/// `None` when the key is absent and `Some(None)` when its first value
+/// has the wrong type.
+struct KeyScan<'a, S> {
+    tenant: Option<Option<Cow<'a, str>>>,
+    ts: Option<Option<u64>>,
+    rows: Option<Rows<S>>,
+}
+
+/// Scan a request object's keys, checking the whole line. `Ok(None)` when
+/// the line is not an object whose first `type` is `"observe"`.
+fn scan_observe<'a, S: RowSink<'a>>(
+    sc: &mut Scanner<'a>,
+    rows_for: &mut impl FnMut(&str) -> S,
+) -> Result<Option<KeyScan<'a, S>>, String> {
+    sc.skip_ws();
+    if sc.peek() != Some(b'{') {
+        return Ok(None);
+    }
+    let mut observe = false;
+    let mut found = KeyScan {
+        tenant: None,
+        ts: None,
+        rows: None,
+    };
+    if sc.open(b'{', b'}')? {
+        loop {
+            match &*sc.key()? {
+                "type" if !observe => {
+                    if sc.peek() != Some(b'"') || sc.string()? != "observe" {
+                        return Ok(None);
+                    }
+                    observe = true;
+                }
+                "tenant" if found.tenant.is_none() => {
+                    found.tenant = Some(if sc.peek() == Some(b'"') {
+                        Some(sc.string()?)
+                    } else {
+                        sc.skip_value()?;
+                        None
+                    });
+                }
+                "ts" if found.ts.is_none() => {
+                    found.ts = Some(if matches!(sc.peek(), Some(b'-' | b'0'..=b'9')) {
+                        exact_u64(sc.number()?)
+                    } else {
+                        sc.skip_value()?;
+                        None
+                    });
+                }
+                "rows" if found.rows.is_none() => {
+                    found.rows = Some(match &found.tenant {
+                        Some(Some(tenant)) if observe => {
+                            let mut sink = rows_for(tenant);
+                            let shaped = read_rows(sc, &mut sink)?;
+                            Rows::Read(sink, shaped)
+                        }
+                        _ => {
+                            let at = sc.pos();
+                            sc.skip_value()?;
+                            Rows::At(at)
+                        }
+                    });
+                }
+                _ => sc.skip_value()?,
+            }
+            if !sc.next(b'}')? {
+                break;
+            }
+        }
+    }
+    sc.finish()?;
+    Ok(observe.then_some(found))
+}
+
+impl<'a, S: RowSink<'a>> KeyScan<'a, S> {
+    /// The observe request, or its first shape error.
+    fn into_request(
+        self,
+        line: &'a str,
+        mut rows_for: impl FnMut(&str) -> S,
+    ) -> Result<Request<S>, ProtoError> {
+        let missing = |field| ProtoError::MissingField {
+            msg: "observe",
+            field,
+        };
+        let bad = |field, expected| ProtoError::BadField {
+            msg: "observe",
+            field,
+            expected,
+        };
+        let tenant = match self.tenant {
+            None => return Err(missing("tenant")),
+            Some(None) => return Err(bad("tenant", "a string")),
+            Some(Some(tenant)) => tenant,
+        };
+        let rows = match self.rows {
+            None => return Err(missing("rows")),
+            Some(Rows::Read(sink, true)) => sink,
+            Some(Rows::Read(_, false)) => return Err(bad("rows", ROWS_SHAPE)),
+            Some(Rows::At(at)) => {
+                let mut sink = rows_for(&tenant);
+                match read_rows(&mut Scanner::at(line, at), &mut sink) {
+                    Ok(true) => sink,
+                    Ok(false) => return Err(bad("rows", ROWS_SHAPE)),
+                    // unreachable: the scan checked these bytes
+                    Err(e) => return Err(ProtoError::BadJson(e)),
+                }
+            }
+        };
+        let ts = match self.ts {
+            None => None,
+            Some(Some(ts)) => Some(ts),
+            Some(None) => {
+                return Err(bad("ts", "a non-negative integer (milliseconds)"));
+            }
+        };
+        Ok(Request::Observe {
+            tenant: tenant.into_owned(),
+            rows,
+            ts,
+        })
+    }
+}
+
+/// Read an observe's `rows` value into `sink`. A value of the wrong shape
+/// is still checked to its end, so a later syntax error wins over it:
+/// `Ok(false)` then, and `Err` only for a syntax error.
+fn read_rows<'a, S: RowSink<'a>>(sc: &mut Scanner<'a>, sink: &mut S) -> Result<bool, String> {
+    if sc.peek() != Some(b'[') {
+        sc.skip_value()?;
+        return Ok(false);
+    }
+    let mut shaped = true;
+    if sc.open(b'[', b']')? {
+        loop {
+            shaped &= read_row(sc, sink)?;
+            if !sc.next(b']')? {
+                break;
+            }
+        }
+    }
+    Ok(shaped)
+}
+
+/// One `[[elements...], value]` row; `null` is the wire form of NaN.
+fn read_row<'a, S: RowSink<'a>>(sc: &mut Scanner<'a>, sink: &mut S) -> Result<bool, String> {
+    if sc.peek() != Some(b'[') {
+        sc.skip_value()?;
+        return Ok(false);
+    }
+    if !sc.open(b'[', b']')? {
+        return Ok(false);
+    }
+    let mut shaped = true;
+    let mut names = 0;
+    if sc.peek() == Some(b'[') {
+        if sc.open(b'[', b']')? {
+            loop {
+                if sc.peek() == Some(b'"') {
+                    sink.name(names, sc.string()?);
+                } else {
+                    sc.skip_value()?;
+                    shaped = false;
+                }
+                names += 1;
+                if !sc.next(b']')? {
+                    break;
+                }
+            }
+        }
+    } else {
+        sc.skip_value()?;
+        shaped = false;
+    }
+    if !sc.next(b']')? {
+        return Ok(false);
+    }
+    let value = match sc.peek() {
+        Some(b'n') => sc.literal("null").map(|()| f64::NAN)?,
+        Some(b'-' | b'0'..=b'9') => sc.number()?,
+        _ => {
+            sc.skip_value()?;
+            shaped = false;
+            f64::NAN
+        }
+    };
+    if sc.next(b']')? {
+        // a third item
+        shaped = false;
+        loop {
+            sc.skip_value()?;
+            if !sc.next(b']')? {
+                break;
+            }
+        }
+    }
+    if shaped {
+        sink.row(names, value);
+    }
+    Ok(shaped)
+}
+
+/// Every message but `observe`, through a [`Json`] tree.
+fn parse_tree<R>(line: &str) -> Result<Request<R>, ProtoError> {
     let doc = parse(line).map_err(ProtoError::BadJson)?;
     let Json::Obj(_) = doc else {
         return Err(ProtoError::NotAnObject);
@@ -266,9 +567,9 @@ pub fn parse_request(line: &str, max_bytes: usize) -> Result<Request, ProtoError
         .get("type")
         .and_then(Json::as_str)
         .ok_or(ProtoError::MissingType)?;
+    // an observe line never gets here: `read_request` read it
     match msg_type {
         "schema" => parse_schema(doc),
-        "observe" => parse_observe(doc),
         "flush" => Ok(Request::Flush),
         "stats" => Ok(Request::Stats),
         "incidents" => {
@@ -363,7 +664,7 @@ fn into_strings(v: Json) -> Option<Vec<String>> {
 
 // The parsed tree is consumed: element names move into the request
 // instead of being copied out of it.
-fn parse_schema(mut doc: Json) -> Result<Request, ProtoError> {
+fn parse_schema<R>(mut doc: Json) -> Result<Request<R>, ProtoError> {
     let tenant = required_str(&doc, "schema", "tenant")?;
     let bad = || ProtoError::BadField {
         msg: "schema",
@@ -386,46 +687,6 @@ fn parse_schema(mut doc: Json) -> Result<Request, ProtoError> {
         attributes.push((name, elements));
     }
     Ok(Request::Schema { tenant, attributes })
-}
-
-fn parse_observe(mut doc: Json) -> Result<Request, ProtoError> {
-    let tenant = required_str(&doc, "observe", "tenant")?;
-    let bad = || ProtoError::BadField {
-        msg: "observe",
-        field: "rows",
-        expected: "an array of [[elements...], value] pairs",
-    };
-    let raw_rows = doc
-        .take("rows")
-        .ok_or(ProtoError::MissingField {
-            msg: "observe",
-            field: "rows",
-        })?
-        .into_arr()
-        .ok_or_else(bad)?;
-    let mut rows = Vec::with_capacity(raw_rows.len());
-    for row in raw_rows {
-        let (elements, value) = into_pair(row).ok_or_else(bad)?;
-        let elements = into_strings(elements).ok_or_else(bad)?;
-        // JSON cannot carry NaN, so `null` is the wire form of a missing
-        // or NaN measurement; the parser itself guarantees `Json::Num` is
-        // finite. The NaN survives to admission control, which quarantines
-        // the frame with a reason instead of dropping it as a parse error.
-        let value = match value {
-            Json::Null => f64::NAN,
-            v => v.as_f64().ok_or_else(bad)?,
-        };
-        rows.push((elements, value));
-    }
-    let ts = match doc.get("ts") {
-        None => None,
-        Some(v) => Some(v.as_u64().ok_or(ProtoError::BadField {
-            msg: "observe",
-            field: "ts",
-            expected: "a non-negative integer (milliseconds)",
-        })?),
-    };
-    Ok(Request::Observe { tenant, rows, ts })
 }
 
 /// Resolve an observe message's rows against the tenant's schema into a

@@ -1,7 +1,7 @@
 //! The fleet front door: a consistent-hash router over worker processes.
 //!
 //! `rapd --workers N` splits the daemon into this router and `N`
-//! supervised worker *processes* ([`crate::supervisor`]). Clients keep
+//! supervised worker *processes* (the `supervisor` module). Clients keep
 //! speaking the single-process NDJSON protocol to the router; behind it:
 //!
 //! * **Routing.** Tenants map onto workers through a consistent-hash
@@ -51,8 +51,7 @@ use crate::http::MetricsServer;
 use crate::json::{parse, Json};
 use crate::metrics::{Metrics, RouterMetrics};
 use crate::proto::{
-    self, parse_request, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION,
-    WIRE_VERSION,
+    self, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION, WIRE_VERSION,
 };
 use crate::retry::Backoff;
 use crate::server::DrainGate;
@@ -578,9 +577,11 @@ fn handle_client(stream: TcpStream, router: &Router, stop: &AtomicBool) {
 }
 
 /// Route one client request line: data verbs to their tenant's worker,
-/// control verbs fanned to the fleet, fleet verbs handled here.
+/// control verbs fanned to the fleet, fleet verbs handled here. An
+/// observe's rows are checked, so the router rejects what a worker would
+/// have, but kept nowhere: routing needs only the tenant.
 fn dispatch_router(line: &str, router: &Router) -> String {
-    let request = match parse_request(line, router.config.max_frame_bytes) {
+    let request = match proto::read_request(line, router.config.max_frame_bytes, |_| ()) {
         Ok(request) => request,
         Err(e) => {
             router
@@ -1093,6 +1094,7 @@ mod tests {
     use std::net::TcpListener;
 
     use super::*;
+    use crate::proto::parse_request;
 
     #[test]
     fn a_refused_connect_fails_without_waiting_out_the_deadline() {

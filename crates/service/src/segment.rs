@@ -36,10 +36,11 @@ use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::sync::lock_recover;
 
-/// The CRC of every byte value, one table step per input byte instead of
-/// eight bit steps.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC32_TABLES[0]` is the CRC of every byte value,
+/// and `CRC32_TABLES[k][b]` the CRC of byte `b` followed by `k` zero
+/// bytes, so eight input bytes take eight lookups and no shifts between.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -49,18 +50,43 @@ const CRC32_TABLE: [u32; 256] = {
             crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// IEEE CRC-32 (polynomial `0xEDB88320`). Every framed line goes through
-/// it — WAL appends on the ingest path included — so it is table-driven.
+/// it — WAL appends on the ingest path included — so it reads eight
+/// bytes per step (slicing-by-8) and the tail a byte at a time.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
-    !data.iter().fold(0xFFFF_FFFFu32, |crc, &b| {
-        CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8)
-    })
+    let t = &CRC32_TABLES;
+    let byte = |crc: u32, b: u8| t[0][((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = data.chunks_exact(8);
+    let mut crc = 0xFFFF_FFFFu32;
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    !chunks.remainder().iter().fold(crc, |crc, &b| byte(crc, b))
 }
 
 /// Frame a rendered payload in place — `{payload}\t{crc32:08x}\n` — so a

@@ -27,20 +27,20 @@ use std::time::{Duration, Instant, SystemTime};
 
 use mdkpi::Schema;
 
-use crate::admission::{AdmissionControl, Verdict};
+use crate::admission::{AdmissionControl, IdRows, Verdict};
 use crate::blackbox::BlackboxWriter;
 use crate::checkpoint::CheckpointStore;
 use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::http::MetricsServer;
 use crate::json::Json;
 use crate::metrics::{build_version, Metrics};
-use crate::proto::{build_frame, parse_request, serve_lines, Listener, ProtoError, Request};
+use crate::proto::{build_frame, read_request, serve_lines, Listener, ProtoError, Request};
 use crate::quarantine::{QuarantineRecord, QuarantineSink};
 use crate::shard::{LocalizerFactory, ShardPool, TenantDebug};
 use crate::sink::IncidentSink;
 use crate::spool_lock::{SpoolLock, SPOOL_LOCK_WAIT};
 use crate::sync::{lock_recover, wait_recover};
-use crate::wal::{FrameWal, WalEntry};
+use crate::wal::{write_entry, FrameWal};
 
 /// How long a `flush` request waits for the shards before giving up.
 const FLUSH_TIMEOUT: Duration = Duration::from_secs(60);
@@ -54,7 +54,7 @@ pub enum StartError {
     /// A listener or the spool could not be set up.
     Io(io::Error),
     /// Another process still held the spool directory's lock after
-    /// [`crate::spool_lock::SPOOL_LOCK_WAIT`].
+    /// `SPOOL_LOCK_WAIT` (2 s).
     SpoolLocked {
         /// The contended spool directory.
         spool: PathBuf,
@@ -466,24 +466,21 @@ fn handle_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) {
 }
 
 /// The observe verb's ingest hot path: admission, accounting, the WAL
-/// append, and the queue push. Returns the reply's payload pairs (sans
-/// the `type` and ack-latency stamp the caller adds).
+/// append, and the queue push. `rows` are the line's rows read against
+/// the tenant's schema, `None` when it has none; `line_bytes` is the
+/// line's length, which sizes its journal line. Returns the reply's
+/// payload pairs (sans the `type` and ack-latency stamp the caller adds).
 fn observe_pairs(
     tenant: String,
-    rows: Vec<(Vec<String>, f64)>,
+    rows: Option<IdRows<'_>>,
     ts: Option<u64>,
+    line_bytes: usize,
     shared: &Shared,
     adopt: Option<&(String, u64)>,
 ) -> Result<Vec<(String, Json)>, ProtoError> {
-    let schema = {
-        let schemas = lock_recover(&shared.schemas);
-        schemas
-            .get(&tenant)
-            .cloned()
-            .ok_or_else(|| ProtoError::NoSchema {
-                tenant: tenant.clone(),
-            })?
-    };
+    let rows = rows.ok_or_else(|| ProtoError::NoSchema {
+        tenant: tenant.clone(),
+    })?;
     if let Some((token, seq)) = adopt {
         // Redelivery dedup: a frame at or below the acknowledged
         // watermark was already ingested (and journaled) by this
@@ -512,7 +509,7 @@ fn observe_pairs(
     // (arity is an error and does not count as ingested) but
     // *before* the ingested counter, so `processed + dropped +
     // shed + quarantined == ingested` holds at every fence.
-    let verdict = shared.admission.admit(&tenant, &schema, rows)?;
+    let verdict = shared.admission.admit(&tenant, rows)?;
     shared
         .metrics
         .frames_ingested
@@ -552,27 +549,29 @@ fn observe_pairs(
                 .fetch_add(admitted.repaired_negative, Ordering::Relaxed);
             m.schema_drift
                 .fetch_add(admitted.repaired_drift, Ordering::Relaxed);
-            // admission already resolved every element, so this
-            // cannot fail on data; it stays fallible for safety
-            let frame = build_frame(&schema, &admitted.rows)?;
-            let repaired = admitted.repaired();
+            let frame = admitted.frame();
             let token = id.as_str().to_string();
             // journal before queueing: once the reply acknowledges
-            // the frame, a kill -9 must not be able to lose it
+            // the frame, a kill -9 must not be able to lose it. The
+            // line is about as long as the observe line it came from.
             if let Some(wal) = &shared.wal {
-                wal.append(&WalEntry {
-                    tenant: tenant.clone(),
-                    frame: token.clone(),
-                    seq: id.seq(),
-                    ts,
-                    rows: admitted.rows,
+                wal.append_with(&tenant, || {
+                    let capacity = line_bytes + token.len() + 64;
+                    write_entry(
+                        &tenant,
+                        &token,
+                        id.seq(),
+                        ts,
+                        capacity,
+                        admitted.named_rows(),
+                    )
                 });
             }
             shared.pool.ingest(id, &tenant, frame, ts);
             Ok(vec![
                 ("queued".to_string(), Json::Bool(true)),
                 ("frame".to_string(), Json::str(token)),
-                ("repaired".to_string(), Json::Bool(repaired)),
+                ("repaired".to_string(), Json::Bool(admitted.repaired())),
             ])
         }
     }
@@ -590,7 +589,14 @@ pub(crate) fn dispatch(
     adopt: Option<&(String, u64)>,
 ) -> Result<String, ProtoError> {
     let parse_started = Instant::now();
-    let request = parse_request(line, shared.config.max_frame_bytes)?;
+    // an observe's element names resolve against the tenant's schema as
+    // the line is read
+    let request = read_request(line, shared.config.max_frame_bytes, |tenant| {
+        let schemas = lock_recover(&shared.schemas);
+        schemas
+            .get(tenant)
+            .map(|schema| IdRows::new(schema.clone(), line))
+    })?;
     let parse_us = (parse_started.elapsed().as_secs_f64() * 1e6).round();
     match request {
         Request::Schema { tenant, attributes } => {
@@ -614,12 +620,13 @@ pub(crate) fn dispatch(
         }
         Request::Observe { tenant, rows, ts } => {
             // Stamp the reply with how long the ingest hot path held the
-            // connection: `ack_us` covers admission, the WAL append, and
-            // the queue push; `parse_us` the request parse before them.
-            // Together they are the daemon-side share of the ack latency
-            // a load generator measures from outside.
+            // connection: `parse_us` covers reading the line and
+            // resolving its names, `ack_us` admission on the ids, the WAL
+            // append, and the queue push. Together they are the
+            // daemon-side share of the ack latency a load generator
+            // measures from outside.
             let ack_started = Instant::now();
-            let mut pairs = observe_pairs(tenant, rows, ts, shared, adopt)?;
+            let mut pairs = observe_pairs(tenant, rows, ts, line.len(), shared, adopt)?;
             let ack_seconds = ack_started.elapsed().as_secs_f64();
             shared.metrics.ingest_ack.observe(ack_seconds);
             pairs.push(("ack_us".to_string(), Json::Num((ack_seconds * 1e6).round())));

@@ -7,9 +7,9 @@
 //! bounded ring so the control socket can answer `incidents` queries
 //! without touching disk.
 //!
-//! The spool is a [`SegmentLog`] with one segment: framing, torn-tail
+//! The spool is a `SegmentLog` with one segment: framing, torn-tail
 //! repair, rotation to `incidents.jsonl.1` past `--spool-max-bytes` and
-//! the degraded latch live there (see [`crate::segment`]). What is the
+//! the degraded latch live there (see the `segment` module). What is the
 //! sink's own: the ring, and the frame-token dedup that keeps incidents
 //! exactly-once across a WAL replay. [`IncidentSink::open`] reads the
 //! spool once, repairing it and seeding the dedup set in the same pass,

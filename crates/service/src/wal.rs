@@ -7,7 +7,7 @@
 //! the journal suffix past the last checkpoint's acknowledgment, so a
 //! `kill -9` loses nothing past admission.
 //!
-//! The journal is a [`SegmentLog`] (see [`crate::segment`] for the
+//! The journal is a `SegmentLog` (see the `segment` module for the
 //! framing, the torn-tail repair and the degraded latch): a crash
 //! mid-append costs at most the line being written, which is exactly the
 //! frame that was never acknowledged. An append reaches the page cache
@@ -37,7 +37,9 @@ use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use crate::json::Json;
+use obs::write_json_string;
+
+use crate::json::{write_number, Json};
 use crate::metrics::Metrics;
 use crate::segment::{frame, read_payloads, sanitize_tenant, segment_path, LogSpec, SegmentLog};
 use crate::sync::lock_recover;
@@ -128,6 +130,50 @@ impl WalEntry {
     }
 }
 
+/// Write one journal line, the bytes [`WalEntry::to_json`] renders, from
+/// a frame's header and rows into one `String` of `capacity` bytes. The
+/// observe path journals its admitted element ids through their schema's
+/// names this way, with no [`Json`] tree.
+pub(crate) fn write_entry<'r, N: Iterator<Item = &'r str>>(
+    tenant: &str,
+    frame: &str,
+    seq: u64,
+    ts: Option<u64>,
+    capacity: usize,
+    rows: impl Iterator<Item = (N, f64)>,
+) -> String {
+    let mut out = String::with_capacity(capacity);
+    out.push_str("{\"tenant\":");
+    write_json_string(tenant, &mut out);
+    out.push_str(",\"frame\":");
+    write_json_string(frame, &mut out);
+    out.push_str(",\"seq\":");
+    write_number(seq as f64, &mut out);
+    out.push_str(",\"ts\":");
+    match ts {
+        None => out.push_str("null"),
+        Some(ts) => write_number(ts as f64, &mut out),
+    }
+    out.push_str(",\"rows\":[");
+    for (i, (names, value)) in rows.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("[[");
+        for (j, name) in names.enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            write_json_string(name, &mut out);
+        }
+        out.push_str("],");
+        write_number(value, &mut out);
+        out.push(']');
+    }
+    out.push_str("]}");
+    out
+}
+
 /// The per-tenant frame journal under `<spool_dir>/wal/`.
 #[derive(Debug)]
 pub(crate) struct FrameWal {
@@ -174,16 +220,17 @@ impl FrameWal {
             .store(depth.values().sum(), Ordering::Relaxed);
     }
 
-    /// Append one admitted frame to its tenant's journal segment, flushed
-    /// immediately so a `kill -9` right after the wire acknowledgment
-    /// still finds the frame on disk. Infallible: a write failure latches
-    /// degraded mode instead of failing the ingest path.
-    pub fn append(&self, entry: &WalEntry) {
+    /// Append one frame to its tenant's journal segment: the journal line
+    /// `line` writes (with [`write_entry`]), flushed immediately so a
+    /// `kill -9` right after the wire acknowledgment still finds it on
+    /// disk. A degraded WAL never calls `line`. Infallible: a write
+    /// failure latches degraded mode instead of failing the ingest path.
+    pub(crate) fn append_with(&self, tenant: &str, line: impl FnOnce() -> String) {
         if self.log.degraded() {
             return;
         }
-        let record = frame(entry.to_json().render());
-        let stem = sanitize_tenant(&entry.tenant);
+        let record = frame(line());
+        let stem = sanitize_tenant(tenant);
         let mut depth = lock_recover(&self.depth);
         if self.log.append(&stem, &record) {
             self.metrics.wal_appends.fetch_add(1, Ordering::Relaxed);
@@ -367,6 +414,24 @@ mod tests {
 
     fn metrics() -> Arc<Metrics> {
         Arc::new(Metrics::new(1))
+    }
+
+    /// Journal a [`WalEntry`]'s name rows through the observe path's
+    /// writer.
+    trait AppendEntry {
+        fn append(&self, entry: &WalEntry);
+    }
+
+    impl AppendEntry for FrameWal {
+        fn append(&self, entry: &WalEntry) {
+            let rows = entry
+                .rows
+                .iter()
+                .map(|(names, value)| (names.iter().map(String::as_str), *value));
+            self.append_with(&entry.tenant, || {
+                write_entry(&entry.tenant, &entry.frame, entry.seq, entry.ts, 0, rows)
+            });
+        }
     }
 
     /// Journaled frames not yet acknowledged by a checkpoint, across all

@@ -8,7 +8,7 @@
 //! version handshake and then carries one envelope per request.
 //!
 //! Workers are spawned and babysat by the router process (see
-//! [`crate::supervisor`]). On boot a worker prints one announce line to
+//! the `supervisor` module). On boot a worker prints one announce line to
 //! stdout — `rapd-worker <i> listening on <addr> wire <v> seq <max>` —
 //! which the supervisor parses for the bound address (workers bind port
 //! 0) and the recovered sequence watermark. Everything a worker admits is

@@ -81,8 +81,12 @@
 #                                  (rapbench/, its own workspace, which
 #                                  calls service::proto directly) and
 #                                  runs its unit and smoke tests
+#  18. rustdoc links           -- cargo doc for the workspace with
+#                                  RUSTDOCFLAGS="-D warnings": a public
+#                                  doc that links a private, missing or
+#                                  ambiguous item fails the gate
 #
-# Step filters (for iterating on one gate without the other sixteen):
+# Step filters (for iterating on one gate without the other seventeen):
 #   CI_STEPS=10,16 scripts/ci.sh   run only the listed steps
 #   CI_SKIP=11     scripts/ci.sh   run everything except the listed steps
 # A per-step wall-clock summary is printed on exit, pass or fail.
@@ -204,5 +208,6 @@ step 14 "crash-recovery gate" cargo test -p rapminer-cli --offline -q --test cra
 step 15 "fleet-torture gate" cargo test -p rapminer-cli --offline -q --test fleet_torture
 step 16 "throughput gate" throughput_gate
 step 17 "rapbench tests" cargo test --release --offline --manifest-path rapbench/Cargo.toml
+step 18 "rustdoc links" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> tier-1 gate passed"

@@ -6,7 +6,8 @@ cd "$(dirname "$0")/.."
 CASES="${1:-10}"
 FAILURES="${2:-105}"
 mkdir -p results
-run() { echo ">> $1"; shift; cargo run --release -p rapminer-bench --bin "$@" ; }
+# the banner goes to stderr: stdout is the result file
+run() { echo ">> $1" >&2; shift; cargo run --release -p rapminer-bench --bin "$@" ; }
 run "Table I"            table1                      > results/table1.txt
 run "Table IV"           table4                      > results/table4.txt
 run "Fig 8(a)"           fig8a  "$CASES"             > results/fig8a.txt
