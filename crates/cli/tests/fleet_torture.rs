@@ -12,7 +12,8 @@
 //!   nothing while the park buffer has room,
 //! * a live shard handoff moves a tenant between workers mid-stream with
 //!   incident output byte-identical to an uninterrupted single-process
-//!   run — no frame lost, none double-applied,
+//!   run — no frame lost, none double-applied — and a handoff that fails
+//!   on either side leaves routing unchanged and is safe to retry,
 //! * a worker exits soon after its router is killed, so no orphan keeps
 //!   running on the fleet's spool.
 
@@ -539,6 +540,138 @@ fn live_handoff_is_byte_identical_to_an_uninterrupted_run() {
         baseline_tokens.len(),
         "the handoff run must ack the same frames into incidents"
     );
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// Every worker's `debug` reply for tenant `edge`, in worker order.
+fn worker_debug(client: &mut Client) -> Vec<Json> {
+    let reply = client.request(r#"{"type":"debug","tenant":"edge"}"#);
+    let workers = reply
+        .get("workers")
+        .and_then(Json::as_arr)
+        .expect("workers");
+    workers
+        .iter()
+        .map(|w| w.get("reply").cloned().expect("a worker reply"))
+        .collect()
+}
+
+/// The one worker that holds tenant `edge` live once every acked frame
+/// has been processed.
+fn holder(client: &mut Client) -> u64 {
+    ok(client.request(r#"{"type":"flush"}"#));
+    let holders: Vec<u64> = (0u64..)
+        .zip(worker_debug(client))
+        .filter(|(_, debug)| {
+            let tenants = debug.get("tenants").and_then(Json::as_arr);
+            tenants.is_some_and(|t| !t.is_empty())
+        })
+        .map(|(worker, _)| worker)
+        .collect();
+    assert_eq!(
+        holders.len(),
+        1,
+        "edge must live on one worker: {holders:?}"
+    );
+    holders[0]
+}
+
+/// A handoff of `edge` that fails: its checkpoint temp path on `worker`
+/// is a directory, so that worker cannot write the tenant's snapshot. The
+/// reply is an error naming `step`, and routing stays as it was.
+fn fail_handoff(client: &mut Client, spool: &Path, worker: u64, step: &str) {
+    let blocked = spool.join(format!("worker-{worker}/checkpoints/edge.json.tmp"));
+    std::fs::create_dir_all(&blocked).expect("block the snapshot write");
+    let reply = client.request(r#"{"type":"handoff","tenant":"edge"}"#);
+    assert_eq!(
+        reply.get("type").and_then(Json::as_str),
+        Some("error"),
+        "{reply}"
+    );
+    let reason = reply.get("reason").and_then(Json::as_str).unwrap_or("");
+    assert!(reason.contains(step), "{reply}");
+    std::fs::remove_dir(&blocked).expect("unblock the snapshot write");
+}
+
+#[test]
+fn a_failed_handoff_changes_nothing_and_its_retry_is_byte_identical() {
+    const WORKERS: usize = 2;
+    let (schema, frames) = outage_stream(70, 30, 20220607);
+    let streams = vec![("edge".to_string(), schema.clone(), frames.clone())];
+    let (baseline, baseline_tokens) = single_process_baseline("retry-baseline", &streams);
+
+    let spool = temp_spool("retry");
+    let mut daemon = spawn(&spool, WORKERS);
+    let mut client = Client::connect(&daemon.addr);
+    // the router's front door knows no `import` and nests nothing deep
+    for line in [
+        r#"{"type":"import","tenant":"edge","source":0}"#.to_string(),
+        "[".repeat(200_000),
+    ] {
+        let reply = client.request(&line);
+        assert_eq!(
+            reply.get("type").and_then(Json::as_str),
+            Some("error"),
+            "{reply}"
+        );
+    }
+    ok(client.request(&schema_line("edge", &schema)));
+    let send = |client: &mut Client, steps: std::ops::Range<usize>| {
+        for rows in &frames[steps] {
+            ok(client.request(&observe_line("edge", rows)));
+        }
+    };
+    send(&mut client, 0..20);
+    let a = holder(&mut client);
+    let b = 1 - a;
+    // (a) the target cannot write the source's final checkpoint
+    fail_handoff(&mut client, &spool, b, "target import");
+    send(&mut client, 20..25);
+    assert_eq!(holder(&mut client), a, "routing is unchanged");
+    let reply = ok(client.request(r#"{"type":"handoff","tenant":"edge"}"#));
+    assert_eq!(reply.get("from").and_then(Json::as_u64), Some(a), "{reply}");
+    send(&mut client, 25..45);
+    // (b) the source cannot write its final checkpoint, so keeps the tenant
+    fail_handoff(&mut client, &spool, b, "source adopt");
+    assert_eq!(
+        holder(&mut client),
+        b,
+        "the tenant stays live on its source"
+    );
+    send(&mut client, 45..50);
+    assert_eq!(holder(&mut client), b, "routing is unchanged");
+    // the retry hands the tenant back, A→B→A
+    let reply = ok(client.request(r#"{"type":"handoff","tenant":"edge"}"#));
+    assert_eq!(reply.get("to").and_then(Json::as_u64), Some(a), "{reply}");
+    send(&mut client, 50..70);
+    let reply = ok(client.request(r#"{"type":"flush"}"#));
+    assert_eq!(reply.get("flushed").and_then(Json::as_bool), Some(true));
+
+    let stats = client.request(r#"{"type":"stats"}"#);
+    let router = stats.get("router").expect("router counters");
+    assert_eq!(stat(router, "handoffs"), 2, "{stats}");
+    assert_eq!(stat(router, "shed"), 0, "{stats}");
+    // every handoff resumed from a snapshot: the one cold start is the
+    // tenant's first frame on its first worker, as in the baseline run
+    let rewarms: Vec<u64> = worker_debug(&mut client)
+        .iter()
+        .map(|debug| {
+            let durability = debug.get("durability").expect("durability");
+            stat(durability, "detector_rewarms")
+        })
+        .collect();
+    assert_eq!((rewarms[a as usize], rewarms[b as usize]), (1, 0));
+
+    ok(client.request(r#"{"type":"shutdown"}"#));
+    let status = daemon.child.wait().expect("wait for rapd");
+    assert!(status.success(), "fleet drain must exit 0: {status:?}");
+    let (handed_off, tokens) = fleet_incidents(&spool, WORKERS);
+    assert_unique_tokens(&tokens);
+    assert_eq!(
+        handed_off, baseline,
+        "failed and retried handoffs must not change the incident stream"
+    );
+    assert_eq!(tokens.len(), baseline_tokens.len());
     let _ = std::fs::remove_dir_all(&spool);
 }
 

@@ -363,16 +363,13 @@ impl CheckpointStore {
         Ok(CheckpointStore { dir, metrics })
     }
 
-    fn path_for(&self, tenant: &str) -> PathBuf {
-        self.dir.join(format!("{}.json", sanitize_tenant(tenant)))
-    }
-
     /// Atomically persist one tenant's snapshot: temp file + `fsync`,
     /// demote the current snapshot to `.prev`, rename the temp file into
-    /// place. Infallible from the caller's perspective — a failure keeps
-    /// the previous snapshot and counts `rapd_checkpoint_errors_total`.
-    pub fn write(&self, checkpoint: &TenantCheckpoint) {
-        let path = self.path_for(&checkpoint.tenant);
+    /// place. Returns whether the snapshot reached disk; a failure keeps
+    /// the previous snapshot and counts `rapd_checkpoint_errors_total`, and
+    /// the caller must not compact the WAL past what that one covers.
+    pub fn write(&self, checkpoint: &TenantCheckpoint) -> bool {
+        let path = snapshot_path(&self.dir, &checkpoint.tenant);
         let line = frame(checkpoint.to_json().render());
         let result = replace(&path, line.as_bytes(), || {
             if path.exists() {
@@ -388,6 +385,7 @@ impl CheckpointStore {
                 self.metrics
                     .checkpoint_last_unix_ms
                     .fetch_max(checkpoint.ts_unix_ms, Ordering::Relaxed);
+                true
             }
             Err(e) => {
                 self.metrics
@@ -401,17 +399,8 @@ impl CheckpointStore {
                         ("error", obs::Value::Str(e.to_string())),
                     ],
                 );
+                false
             }
-        }
-    }
-
-    fn load_file(&self, path: &Path) -> Option<TenantCheckpoint> {
-        let data = fs::read_to_string(path).ok()?;
-        match unframe(data.lines().next()?) {
-            (LineVerdict::Verified, json) => {
-                TenantCheckpoint::from_json(&crate::json::parse(json).ok()?)
-            }
-            _ => None,
         }
     }
 
@@ -420,8 +409,8 @@ impl CheckpointStore {
     /// (cold start). Never an error — a checkpoint must never refuse
     /// boot.
     pub fn load(&self, tenant: &str) -> Option<TenantCheckpoint> {
-        let path = self.path_for(tenant);
-        if let Some(checkpoint) = self.load_file(&path) {
+        let path = snapshot_path(&self.dir, tenant);
+        if let Some(checkpoint) = load_file(&path) {
             return Some(checkpoint);
         }
         if path.exists() {
@@ -435,7 +424,7 @@ impl CheckpointStore {
             );
         }
         let prev = path.with_extension("json.prev");
-        let fallback = self.load_file(&prev);
+        let fallback = load_file(&prev);
         if fallback.is_none() && prev.exists() {
             self.metrics
                 .checkpoint_corrupt
@@ -475,6 +464,27 @@ impl CheckpointStore {
         }
         checkpoints
     }
+}
+
+fn snapshot_path(dir: &Path, tenant: &str) -> PathBuf {
+    dir.join(format!("{}.json", sanitize_tenant(tenant)))
+}
+
+fn load_file(path: &Path) -> Option<TenantCheckpoint> {
+    let data = fs::read_to_string(path).ok()?;
+    match unframe(data.lines().next()?) {
+        (LineVerdict::Verified, json) => {
+            TenantCheckpoint::from_json(&crate::json::parse(json).ok()?)
+        }
+        _ => None,
+    }
+}
+
+/// [`CheckpointStore::load`] from another daemon's spool, read-only: a
+/// handoff's target reads its live source's final checkpoint this way.
+pub(crate) fn read_snapshot(spool_dir: &Path, tenant: &str) -> Option<TenantCheckpoint> {
+    let path = snapshot_path(&spool_dir.join("checkpoints"), tenant);
+    load_file(&path).or_else(|| load_file(&path.with_extension("json.prev")))
 }
 
 #[cfg(test)]
@@ -671,7 +681,7 @@ mod tests {
         fs::create_dir_all(dir.join("checkpoints/t.json.tmp")).unwrap();
         let mut newer = checkpoint.clone();
         newer.wal_ack = 99;
-        store.write(&newer);
+        assert!(!store.write(&newer), "the write reports its failure");
         assert_eq!(m.checkpoint_errors.load(Ordering::Relaxed), 1);
         assert_eq!(
             store.load("t"),

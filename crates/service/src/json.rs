@@ -197,11 +197,21 @@ pub fn parse(input: &str) -> Result<Json, String> {
 /// A container is read with [`Scanner::open`], then one value (preceded
 /// by [`Scanner::key`] in an object) per [`Scanner::next`] that returns
 /// `true`; every step leaves the cursor on the next token.
+///
+/// Containers nest at most [`MAX_DEPTH`] deep: a deeper one is a syntax
+/// error, so no reader recurses further than that on untrusted input.
 pub(crate) struct Scanner<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around the cursor.
+    depth: usize,
 }
+
+/// How deep containers may nest. The deepest document rapd reads or writes
+/// is a detect-mode checkpoint, 7 levels (`engine.leaves[i][1].forecaster.
+/// seasonal`); an incident line is 5, an observe or WAL line 4.
+const MAX_DEPTH: usize = 128;
 
 impl<'a> Scanner<'a> {
     /// A cursor at byte `pos` of `text`, which must be a token boundary
@@ -211,6 +221,7 @@ impl<'a> Scanner<'a> {
             text,
             bytes: text.as_bytes(),
             pos,
+            depth: 0,
         }
     }
 
@@ -257,12 +268,19 @@ impl<'a> Scanner<'a> {
     /// `true` when a member follows, with the cursor on it, `false` after
     /// the close of an empty one.
     pub(crate) fn open(&mut self, open: u8, close: u8) -> Result<bool, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
         self.expect(open)?;
         self.skip_ws();
         if self.peek() == Some(close) {
             self.pos += 1;
             return Ok(false);
         }
+        self.depth += 1;
         Ok(true)
     }
 
@@ -278,6 +296,7 @@ impl<'a> Scanner<'a> {
             }
             Some(c) if c == close => {
                 self.pos += 1;
+                self.depth = self.depth.saturating_sub(1);
                 Ok(false)
             }
             _ => Err(format!(
@@ -643,6 +662,14 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_cap_is_a_syntax_error() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
     }
 
     #[test]

@@ -40,6 +40,10 @@ use mdkpi::{ElementId, LeafFrame, Schema};
 
 use crate::json::{exact_u64, parse, Json, Scanner};
 
+/// A schema's attribute parts (`(name, element names)`), as
+/// `Request::Schema` carries them and the WAL journals them.
+pub type SchemaParts = Vec<(String, Vec<String>)>;
+
 /// One parsed client request. `R` holds an observe's rows: the element
 /// names as received for [`parse_request`], or whatever a crate-internal
 /// reader resolved them into while reading the line.
@@ -106,22 +110,23 @@ pub enum Request<R = Vec<(Vec<String>, f64)>> {
     /// drained, logs the stragglers, and exits nonzero.
     Shutdown,
     /// Snapshot every tenant engine to the checkpoint store now, without
-    /// draining reorder buffers. The handoff protocol uses this to pin a
-    /// source worker's state before transferring a tenant; operators can
-    /// use it to force a checkpoint ahead of planned maintenance.
+    /// draining reorder buffers, for example ahead of planned
+    /// maintenance.
     Checkpoint,
-    /// Forget one tenant's in-memory state (engine, breaker, reorder
-    /// buffer, restore latch) so its next frame restores from whatever
-    /// snapshot is in the checkpoint store. The fleet handoff protocol
-    /// sends this to both sides of a transfer; durable state (WAL,
-    /// checkpoints, spooled incidents) is untouched.
+    /// Write one tenant's final checkpoint, then forget its in-memory
+    /// state (engine, breaker, reorder buffer, restore latch) so its next
+    /// frame restores from whatever snapshot is in the checkpoint store.
+    /// The reply's `adopted` is `false` when the final checkpoint could
+    /// not be written: the tenant then stays live, and its WAL keeps every
+    /// frame the older snapshot does not cover. A fleet handoff sends
+    /// this to the tenant's source worker and goes on only on `true`.
     Adopt {
         /// The tenant whose live state is dropped.
         tenant: String,
     },
-    /// Move one tenant to another worker (router-only verb): drain the
-    /// source, checkpoint, transfer the snapshot + WAL suffix, and
-    /// reroute. A single-process daemon answers this with an error.
+    /// Move one tenant to another worker (router-only verb): flush and
+    /// `adopt` on the source, `import` on the target, and reroute. A
+    /// single-process daemon answers this with an error.
     Handoff {
         /// The tenant to move.
         tenant: String,
@@ -240,12 +245,17 @@ impl std::error::Error for ProtoError {}
 impl ProtoError {
     /// The one-line `{"type":"error",...}` reply for this error.
     pub fn to_reply(&self) -> String {
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("error")),
-            ("reason".to_string(), Json::str(self.to_string())),
-        ])
-        .render()
+        error_reply(&self.to_string())
     }
+}
+
+/// The one-line `{"type":"error","reason":...}` reply.
+pub(crate) fn error_reply(reason: &str) -> String {
+    Json::Obj(vec![
+        ("type".to_string(), Json::str("error")),
+        ("reason".to_string(), Json::str(reason)),
+    ])
+    .render()
 }
 
 /// Parse one request line, enforcing the frame-size cap.
@@ -662,23 +672,27 @@ fn into_strings(v: Json) -> Option<Vec<String>> {
     v.into_arr()?.into_iter().map(Json::into_string).collect()
 }
 
-// The parsed tree is consumed: element names move into the request
-// instead of being copied out of it.
 fn parse_schema<R>(mut doc: Json) -> Result<Request<R>, ProtoError> {
     let tenant = required_str(&doc, "schema", "tenant")?;
-    let bad = || ProtoError::BadField {
+    let attrs = doc.take("attributes").ok_or(ProtoError::MissingField {
         msg: "schema",
+        field: "attributes",
+    })?;
+    Ok(Request::Schema {
+        tenant,
+        attributes: attribute_parts(attrs, "schema")?,
+    })
+}
+
+// The parsed tree is consumed: element names move into the request
+// instead of being copied out of it.
+fn attribute_parts(attrs: Json, msg: &'static str) -> Result<SchemaParts, ProtoError> {
+    let bad = || ProtoError::BadField {
+        msg,
         field: "attributes",
         expected: "an array of [name, [elements]] pairs",
     };
-    let attrs = doc
-        .take("attributes")
-        .ok_or(ProtoError::MissingField {
-            msg: "schema",
-            field: "attributes",
-        })?
-        .into_arr()
-        .ok_or_else(bad)?;
+    let attrs = attrs.into_arr().ok_or_else(bad)?;
     let mut attributes = Vec::with_capacity(attrs.len());
     for pair in attrs {
         let (name, elements) = into_pair(pair).ok_or_else(bad)?;
@@ -686,7 +700,58 @@ fn parse_schema<R>(mut doc: Json) -> Result<Request<R>, ProtoError> {
         let elements = into_strings(elements).ok_or_else(bad)?;
         attributes.push((name, elements));
     }
-    Ok(Request::Schema { tenant, attributes })
+    Ok(attributes)
+}
+
+/// `(attribute, elements)` pairs as `schema` and `import` lines and the
+/// WAL's schema journal write them.
+pub(crate) fn attributes_json(parts: &[(String, Vec<String>)]) -> Json {
+    Json::Arr(
+        parts
+            .iter()
+            .map(|(name, elements)| {
+                Json::Arr(vec![
+                    Json::str(name),
+                    Json::Arr(elements.iter().map(Json::str).collect()),
+                ])
+            })
+            .collect(),
+    )
+}
+
+/// The `import` line, the one router→worker verb: take `tenant` over from
+/// worker `source`. No NDJSON front door knows it (`unknown message
+/// type`); a fleet worker's envelope handler runs it.
+pub(crate) fn import_line(
+    tenant: &str,
+    source: usize,
+    attributes: Option<&[(String, Vec<String>)]>,
+) -> String {
+    let mut pairs = vec![
+        ("type".to_string(), Json::str("import")),
+        ("tenant".to_string(), Json::str(tenant)),
+        ("source".to_string(), Json::Num(source as f64)),
+    ];
+    pairs.extend(attributes.map(|parts| ("attributes".to_string(), attributes_json(parts))));
+    Json::Obj(pairs).render()
+}
+
+/// Read an [`import_line`]: its tenant, source worker and attributes.
+pub(crate) fn read_import(line: &str) -> Result<(String, usize, Option<SchemaParts>), ProtoError> {
+    let mut doc = parse(line).map_err(ProtoError::BadJson)?;
+    let source = doc
+        .get("source")
+        .and_then(Json::as_u64)
+        .ok_or(ProtoError::MissingField {
+            msg: "import",
+            field: "source",
+        })?;
+    let attributes = doc.take("attributes").map(|a| attribute_parts(a, "import"));
+    Ok((
+        required_str(&doc, "import", "tenant")?,
+        source as usize,
+        attributes.transpose()?,
+    ))
 }
 
 /// Resolve an observe message's rows against the tenant's schema into a
@@ -1344,6 +1409,27 @@ mod tests {
     }
 
     #[test]
+    fn a_deeply_nested_line_is_bad_json_not_a_stack_overflow() {
+        // 200 kB, under the default 1 MiB line cap: each level once cost a
+        // stack frame, and this many overflowed a connection thread's stack
+        for line in [
+            "[".repeat(200_000),
+            r#"{"a":"#.repeat(200_000),
+            format!(
+                r#"{{"type":"observe","tenant":"t","rows":{}"#,
+                "[".repeat(200_000)
+            ),
+        ] {
+            let head = &line[..20];
+            let err = parse_request(&line, 1 << 20).expect_err(head);
+            assert!(matches!(err, ProtoError::BadJson(_)), "{head}: {err}");
+            // the router's validating scan
+            let err = read_request(&line, 1 << 20, |_| ()).expect_err(head);
+            assert!(matches!(err, ProtoError::BadJson(_)), "{head}: {err}");
+        }
+    }
+
+    #[test]
     fn null_row_value_parses_to_nan() {
         // JSON cannot encode NaN; `null` is its wire form. The frame must
         // survive parsing so admission control can quarantine it with a
@@ -1461,6 +1547,17 @@ mod tests {
         );
         assert!(parse_request(r#"{"type":"adopt"}"#, MAX).is_err());
         assert!(parse_request(r#"{"type":"handoff","tenant":"t","worker":"x"}"#, MAX).is_err());
+        // the router→worker verb: a worker reads it, no client front door
+        let parts = vec![("loc".to_string(), vec!["L\"1".to_string()])];
+        let import = import_line("t", 2, Some(&parts));
+        let read = read_import(&import).unwrap();
+        assert_eq!(read, ("t".to_string(), 2, Some(parts)));
+        assert_eq!(read_import(&import_line("t", 0, None)).unwrap().2, None);
+        assert!(read_import(r#"{"type":"import","tenant":"t"}"#).is_err());
+        assert_eq!(
+            parse_request(&import, MAX),
+            Err(ProtoError::UnknownType("import".to_string()))
+        );
     }
 
     #[test]

@@ -31,33 +31,33 @@
 //!   liveness (up/pid/respawns/parked).
 //! * **Live handoff.** `{"type":"handoff","tenant":T}` moves a tenant
 //!   between workers without losing or duplicating a frame: the source
-//!   drains and writes a final checkpoint (the `adopt` verb), the router
-//!   copies the snapshot and the WAL suffix into the target's spool
-//!   path, replays the suffix with the original frame tokens, and
-//!   reroutes. Routing is paused for the duration (the routing lock is
-//!   held), so no frame can reach the source after its final checkpoint.
+//!   drains and writes a final checkpoint (the `flush` and `adopt`
+//!   verbs), the target takes the tenant over from the source's spool as
+//!   boot recovery would (the `import` verb), and the router reroutes.
+//!   Every observe holds the routing table shared from its route to its
+//!   forward's reply and a handoff holds it exclusively, so no frame can
+//!   reach the source after its final checkpoint.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::checkpoint::CheckpointStore;
 use crate::http::MetricsServer;
 use crate::json::{parse, Json};
-use crate::metrics::{Metrics, RouterMetrics};
+use crate::metrics::RouterMetrics;
 use crate::proto::{
-    self, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION, WIRE_VERSION,
+    self, error_reply, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION,
+    WIRE_VERSION,
 };
 use crate::retry::Backoff;
 use crate::server::DrainGate;
 use crate::supervisor::{Supervisor, WorkerCommand};
 use crate::sync::lock_recover;
-use crate::wal;
 
 /// How often the pump thread retries parked frames.
 const PUMP_INTERVAL: Duration = Duration::from_millis(100);
@@ -164,14 +164,15 @@ struct Router {
     supervisor: Arc<Supervisor>,
     links: Vec<WorkerLink>,
     ring: Ring,
-    /// Per-tenant routing overrides installed by handoffs. Held for the
-    /// whole duration of a handoff, which pauses route resolution — the
-    /// mechanism that keeps frames off the source after its final
-    /// checkpoint. Never acquire this while holding `schemas`.
-    routing: Mutex<HashMap<String, usize>>,
-    /// Tenant → raw schema line, cached so a handoff can replay the
-    /// schema to the target before the WAL suffix.
-    schemas: Mutex<HashMap<String, String>>,
+    /// Per-tenant routing overrides installed by handoffs. An observe or
+    /// schema holds them shared from its route to its forward's reply,
+    /// and a handoff holds them exclusively throughout — the fence that
+    /// keeps frames off the source after its final checkpoint. Never
+    /// acquire this while holding `schemas`.
+    routing: RwLock<HashMap<String, usize>>,
+    /// Tenant → the `(attribute, elements)` pairs of its schema, which a
+    /// handoff hands the target with its `import`.
+    schemas: Mutex<HashMap<String, proto::SchemaParts>>,
     metrics: Arc<RouterMetrics>,
     /// Set when the handle drops: stops the pump and abandons in-flight
     /// router→worker calls.
@@ -227,7 +228,7 @@ pub fn start_router(config: RouterConfig) -> io::Result<RouterHandle> {
         supervisor,
         links,
         ring,
-        routing: Mutex::new(HashMap::new()),
+        routing: RwLock::new(HashMap::new()),
         schemas: Mutex::new(HashMap::new()),
         metrics,
         shutdown: AtomicBool::new(false),
@@ -312,18 +313,32 @@ impl Ring {
 // ---------------------------------------------------------------------
 
 impl Router {
-    /// Resolve which worker owns a tenant right now.
-    fn route(&self, tenant: &str) -> usize {
-        lock_recover(&self.routing)
+    /// The routing overrides, held shared.
+    fn routes(&self) -> RwLockReadGuard<'_, HashMap<String, usize>> {
+        self.routing.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Resolve which worker owns a tenant under `routing`.
+    fn route(&self, routing: &HashMap<String, usize>, tenant: &str) -> usize {
+        routing
             .get(tenant)
             .copied()
             .unwrap_or_else(|| self.ring.route(tenant))
     }
 
     /// One strict request/reply against a worker over the framed wire
-    /// protocol, with a hard deadline. Any failure drops the cached
-    /// connection so the next request re-handshakes.
-    fn request_worker(&self, worker: usize, payload: &str, deadline: Duration) -> RequestResult {
+    /// protocol, with a hard deadline: `line` in an envelope, with the
+    /// router-minted token and sequence of an observe. Any failure drops
+    /// the cached connection so the next request re-handshakes.
+    fn request_worker(
+        &self,
+        worker: usize,
+        line: &str,
+        frame: Option<(String, u64)>,
+        deadline: Duration,
+    ) -> RequestResult {
+        let line = line.to_string();
+        let payload = WireEnvelope { line, frame }.render();
         let until = Instant::now() + deadline;
         let mut conn_slot = lock_recover(&self.links[worker].conn);
         let snapshot = self.supervisor.snapshot(worker);
@@ -352,7 +367,7 @@ impl Router {
             return Err(format!("worker {worker} has no connection"));
         };
         let max = self.config.max_frame_bytes.saturating_add(4096);
-        match wire_call(&mut conn.stream, payload, max, until, &self.shutdown) {
+        match wire_call(&mut conn.stream, &payload, max, until, &self.shutdown) {
             Ok(reply) => Ok(reply),
             Err(e) => {
                 *conn_slot = None;
@@ -365,12 +380,7 @@ impl Router {
     fn fan(&self, line: &str, deadline: Duration) -> Vec<RequestResult<Json>> {
         (0..self.links.len())
             .map(|worker| {
-                let payload = WireEnvelope {
-                    line: line.to_string(),
-                    frame: None,
-                }
-                .render();
-                self.request_worker(worker, &payload, deadline)
+                self.request_worker(worker, line, None, deadline)
                     .and_then(|reply| parse(&reply).map_err(|e| format!("bad worker reply: {e}")))
             })
             .collect()
@@ -431,12 +441,8 @@ impl Router {
             if !self.supervisor.snapshot(worker).up {
                 return;
             }
-            let payload = WireEnvelope {
-                line: parked.line,
-                frame: parked.frame,
-            }
-            .render();
-            match self.request_worker(worker, &payload, self.config.request_deadline) {
+            let deadline = self.config.request_deadline;
+            match self.request_worker(worker, &parked.line, parked.frame, deadline) {
                 Ok(_) => {
                     lock_recover(&self.links[worker].parked).pop_front();
                     self.metrics.parked_frames.fetch_sub(1, Ordering::Relaxed);
@@ -456,12 +462,8 @@ impl Router {
             // frames already parked for this worker must go first
             return self.park_or_shed(worker, line.to_string(), frame);
         }
-        let payload = WireEnvelope {
-            line: line.to_string(),
-            frame: frame.clone(),
-        }
-        .render();
-        match self.request_worker(worker, &payload, self.config.request_deadline) {
+        let deadline = self.config.request_deadline;
+        match self.request_worker(worker, line, frame.clone(), deadline) {
             Ok(reply) => {
                 self.metrics
                     .frames_forwarded
@@ -595,30 +597,23 @@ fn dispatch_router(line: &str, router: &Router) -> String {
     match request {
         Request::Observe { tenant, .. } => {
             let id = obs::FrameId::mint(&tenant);
-            let worker = router.route(&tenant);
+            let routing = router.routes();
+            let worker = router.route(&routing, &tenant);
             router.forward(worker, line, Some((id.as_str().to_string(), id.seq())))
         }
-        Request::Schema { tenant, .. } => {
+        Request::Schema { tenant, attributes } => {
             // cache before routing — never hold `schemas` while taking
             // the routing lock (a handoff holds them the other way)
-            lock_recover(&router.schemas).insert(tenant.clone(), line.to_string());
-            let worker = router.route(&tenant);
+            lock_recover(&router.schemas).insert(tenant.clone(), attributes);
+            let routing = router.routes();
+            let worker = router.route(&routing, &tenant);
             router.forward(worker, line, None)
         }
         Request::Adopt { ref tenant } => {
-            let worker = router.route(tenant);
-            match router.request_worker(
-                worker,
-                &WireEnvelope {
-                    line: line.to_string(),
-                    frame: None,
-                }
-                .render(),
-                deadline,
-            ) {
-                Ok(reply) => reply,
-                Err(e) => error_reply(&format!("adopt failed on worker {worker}: {e}")),
-            }
+            let worker = router.route(&router.routes(), tenant);
+            router
+                .request_worker(worker, line, None, deadline)
+                .unwrap_or_else(|e| error_reply(&format!("adopt failed on worker {worker}: {e}")))
         }
         Request::Handoff { tenant, worker } => handoff(router, &tenant, worker),
         Request::Flush => flush_fleet(router, deadline),
@@ -642,14 +637,6 @@ fn dispatch_router(line: &str, router: &Router) -> String {
         }
         Request::Shutdown => shutdown_fleet(router),
     }
-}
-
-fn error_reply(reason: &str) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("error")),
-        ("reason".to_string(), Json::str(reason)),
-    ])
-    .render()
 }
 
 // ---------------------------------------------------------------------
@@ -843,12 +830,9 @@ fn shutdown_fleet(router: &Router) -> String {
     let mut clean = true;
     for worker in 0..router.links.len() {
         let remaining = until.saturating_duration_since(Instant::now());
-        let payload = WireEnvelope {
-            line: r#"{"type":"shutdown"}"#.to_string(),
-            frame: None,
-        }
-        .render();
-        match router.request_worker(worker, &payload, remaining.max(Duration::from_millis(10))) {
+        let shutdown = r#"{"type":"shutdown"}"#;
+        let deadline = remaining.max(Duration::from_millis(10));
+        match router.request_worker(worker, shutdown, None, deadline) {
             Ok(reply) => {
                 let ok = parse(&reply)
                     .ok()
@@ -900,49 +884,51 @@ fn shutdown_fleet(router: &Router) -> String {
 // ---------------------------------------------------------------------
 
 /// Move one tenant from its current worker to `target` (or the next
-/// worker on the ring). Holds the routing lock for the duration, so no
-/// observe can resolve a route — and therefore no frame can reach the
-/// source after its final checkpoint — until the transfer lands.
+/// worker on the ring). Holds the routing table exclusively, and every
+/// observe holds it shared from its route to its forward's reply, so no
+/// frame can reach the source after its final checkpoint.
 ///
-/// The protocol, in order:
-/// 1. `flush` the source (drains its shard queues);
-/// 2. `adopt` on the source — drains the tenant's reorder buffer
-///    through the pipeline, writes a *final* checkpoint whose `wal_ack`
-///    equals the consumed watermark, compacts the WAL to it, and
-///    forgets the live state;
-/// 3. copy the final checkpoint into the target's spool and read the
-///    WAL suffix past its `wal_ack` (read-only — the source is live);
-/// 4. `adopt` on the target (drops any stale restore latch), replay the
-///    schema, then the suffix with the original frame tokens;
-/// 5. install the routing override (or drop it when the ring already
+/// The protocol, each step going on only on its reply's confirmation:
+/// 1. `flush` the source (drains its shard queues): `flushed: true`;
+/// 2. `adopt` on the source — drains the tenant's reorder buffer through
+///    the pipeline, writes a *final* checkpoint whose `wal_ack` equals the
+///    consumed watermark, compacts the WAL to it, and forgets the live
+///    state: `adopted: true` once that checkpoint is on disk;
+/// 3. `import` on the target — it takes the tenant over from the source's
+///    spool as boot recovery would, with the schema the router cached;
+/// 4. install the routing override (or drop it when the ring already
 ///    agrees) and resume routing.
 ///
-/// Because the final checkpoint round-trips bit-identically and the
-/// suffix replays with adopted tokens, the incident stream is
-/// byte-identical to a run that never handed off.
+/// A failed step leaves routing unchanged, and a retry's import rewrites
+/// whatever a failed one left. Because the final checkpoint round-trips
+/// bit-identically and the suffix replays with adopted tokens, the
+/// incident stream is byte-identical to a run that never handed off.
 fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
     let workers = router.links.len();
-    let mut routing = lock_recover(&router.routing);
-    let source = routing
-        .get(tenant)
-        .copied()
-        .unwrap_or_else(|| router.ring.route(tenant));
+    let mut routing = router
+        .routing
+        .write()
+        .unwrap_or_else(PoisonError::into_inner);
+    let source = router.route(&routing, tenant);
     let target = target.unwrap_or((source + 1) % workers);
     if target >= workers {
         return error_reply(&format!(
             "handoff target {target} out of range (fleet has {workers} workers)"
         ));
     }
-    if source == target {
-        return Json::Obj(vec![
+    let reply = |replayed: u64| {
+        vec![
             ("type".to_string(), Json::str("ok")),
             ("handoff".to_string(), Json::str(tenant)),
             ("from".to_string(), Json::Num(source as f64)),
             ("to".to_string(), Json::Num(target as f64)),
-            ("replayed".to_string(), Json::Num(0.0)),
-            ("noop".to_string(), Json::Bool(true)),
-        ])
-        .render();
+            ("replayed".to_string(), Json::Num(replayed as f64)),
+        ]
+    };
+    if source == target {
+        let mut noop = reply(0);
+        noop.push(("noop".to_string(), Json::Bool(true)));
+        return Json::Obj(noop).render();
     }
     for worker in [source, target] {
         if !router.supervisor.snapshot(worker).up {
@@ -954,55 +940,22 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
             ));
         }
     }
-    let deadline = router.config.request_deadline;
-    let call = |worker: usize, line: String| -> RequestResult {
-        let payload = WireEnvelope { line, frame: None }.render();
-        router.request_worker(worker, &payload, deadline)
+    // one protocol step: the reply must carry `key`, `true` when a flag
+    let step = |worker: usize, line: &str, key: &str| -> RequestResult<Json> {
+        let reply = router.request_worker(worker, line, None, router.config.request_deadline)?;
+        match parse(&reply) {
+            Ok(doc) if !matches!(doc.get(key), None | Some(Json::Bool(false))) => Ok(doc),
+            _ => Err(reply),
+        }
     };
-    let adopt_line = |t: &str| {
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("adopt")),
-            ("tenant".to_string(), Json::str(t)),
-        ])
-        .render()
-    };
-    let result = (|| -> RequestResult<usize> {
-        call(source, r#"{"type":"flush"}"#.to_string())
-            .map_err(|e| format!("source flush: {e}"))?;
-        call(source, adopt_line(tenant)).map_err(|e| format!("source adopt: {e}"))?;
-        let src_spool = router.config.spool_dir.join(format!("worker-{source}"));
-        let tgt_spool = router.config.spool_dir.join(format!("worker-{target}"));
-        let store_metrics = Arc::new(Metrics::new(1));
-        let src_store = CheckpointStore::open(&src_spool, Arc::clone(&store_metrics))
-            .map_err(|e| format!("open source checkpoint store: {e}"))?;
-        let checkpoint = src_store.load(tenant);
-        let wal_ack = checkpoint.as_ref().map_or(0, |c| c.wal_ack);
-        if let Some(checkpoint) = &checkpoint {
-            let tgt_store = CheckpointStore::open(&tgt_spool, store_metrics)
-                .map_err(|e| format!("open target checkpoint store: {e}"))?;
-            tgt_store.write(checkpoint);
-        }
-        let suffix = wal::read_tenant_suffix(&src_spool, tenant, wal_ack);
-        call(target, adopt_line(tenant)).map_err(|e| format!("target adopt: {e}"))?;
-        let schema_line = lock_recover(&router.schemas).get(tenant).cloned();
-        let schema_line = schema_line.or_else(|| {
-            wal::read_schema_parts(&src_spool, tenant).map(|parts| render_schema(tenant, &parts))
-        });
-        if let Some(schema) = schema_line {
-            call(target, schema).map_err(|e| format!("target schema: {e}"))?;
-        }
-        let replayed = suffix.len();
-        for entry in suffix {
-            let payload = WireEnvelope {
-                line: render_observe(&entry),
-                frame: Some((entry.frame.clone(), entry.seq)),
-            }
-            .render();
-            router
-                .request_worker(target, &payload, deadline)
-                .map_err(|e| format!("suffix replay (seq {}): {e}", entry.seq))?;
-        }
-        Ok(replayed)
+    let result = (|| -> RequestResult<u64> {
+        step(source, r#"{"type":"flush"}"#, "flushed").map_err(|e| format!("source flush: {e}"))?;
+        let adopt = format!(r#"{{"type":"adopt","tenant":{}}}"#, Json::str(tenant));
+        step(source, &adopt, "adopted").map_err(|e| format!("source adopt: {e}"))?;
+        let schema = lock_recover(&router.schemas).get(tenant).cloned();
+        let import = proto::import_line(tenant, source, schema.as_deref());
+        let reply = step(target, &import, "replayed").map_err(|e| format!("target import: {e}"))?;
+        Ok(reply.get("replayed").and_then(Json::as_u64).unwrap_or(0))
     })();
     match result {
         Ok(replayed) => {
@@ -1015,7 +968,7 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
             router
                 .metrics
                 .handoff_replayed
-                .fetch_add(replayed as u64, Ordering::Relaxed);
+                .fetch_add(replayed, Ordering::Relaxed);
             obs::info(
                 "rapd.router",
                 "tenant_handed_off",
@@ -1023,70 +976,13 @@ fn handoff(router: &Router, tenant: &str, target: Option<usize>) -> String {
                     ("tenant", obs::Value::Str(tenant.to_string())),
                     ("from", obs::Value::U64(source as u64)),
                     ("to", obs::Value::U64(target as u64)),
-                    ("replayed", obs::Value::U64(replayed as u64)),
+                    ("replayed", obs::Value::U64(replayed)),
                 ],
             );
-            Json::Obj(vec![
-                ("type".to_string(), Json::str("ok")),
-                ("handoff".to_string(), Json::str(tenant)),
-                ("from".to_string(), Json::Num(source as f64)),
-                ("to".to_string(), Json::Num(target as f64)),
-                ("replayed".to_string(), Json::Num(replayed as f64)),
-            ])
-            .render()
+            Json::Obj(reply(replayed)).render()
         }
         Err(e) => error_reply(&format!("handoff failed: {e}")),
     }
-}
-
-/// Rebuild a `schema` request line from journaled schema parts.
-fn render_schema(tenant: &str, parts: &wal::SchemaParts) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("schema")),
-        ("tenant".to_string(), Json::str(tenant)),
-        (
-            "attributes".to_string(),
-            Json::Arr(
-                parts
-                    .iter()
-                    .map(|(name, elements)| {
-                        Json::Arr(vec![
-                            Json::str(name),
-                            Json::Arr(elements.iter().map(Json::str).collect()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-    .render()
-}
-
-/// Rebuild an `observe` request line from a journaled frame.
-fn render_observe(entry: &wal::WalEntry) -> String {
-    let mut pairs = vec![
-        ("type".to_string(), Json::str("observe")),
-        ("tenant".to_string(), Json::str(&entry.tenant)),
-        (
-            "rows".to_string(),
-            Json::Arr(
-                entry
-                    .rows
-                    .iter()
-                    .map(|(elements, value)| {
-                        Json::Arr(vec![
-                            Json::Arr(elements.iter().map(Json::str).collect()),
-                            Json::Num(*value),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(ts) = entry.ts {
-        pairs.push(("ts".to_string(), Json::Num(ts as f64)));
-    }
-    Json::Obj(pairs).render()
 }
 
 #[cfg(test)]
@@ -1094,7 +990,6 @@ mod tests {
     use std::net::TcpListener;
 
     use super::*;
-    use crate::proto::parse_request;
 
     #[test]
     fn a_refused_connect_fails_without_waiting_out_the_deadline() {
@@ -1181,30 +1076,5 @@ mod tests {
         // naive modulo hashing would move ~80%; consistent hashing
         // should move roughly 1/5th
         assert!(moved < 400, "{moved} of 1000 tenants moved");
-    }
-
-    #[test]
-    fn journaled_frames_render_back_to_observe_lines() {
-        let entry = wal::WalEntry {
-            tenant: "edge".to_string(),
-            frame: "edge-0000002a-1754700000123".to_string(),
-            seq: 42,
-            ts: Some(60_000),
-            rows: vec![(vec!["L1".to_string(), "S1".to_string()], 100.5)],
-        };
-        let line = render_observe(&entry);
-        match parse_request(&line, 1 << 20) {
-            Ok(Request::Observe { tenant, rows, ts }) => {
-                assert_eq!(tenant, "edge");
-                assert_eq!(ts, Some(60_000));
-                assert_eq!(rows, entry.rows);
-            }
-            other => panic!("expected an observe, got {other:?}"),
-        }
-        let schema = render_schema("edge", &vec![("loc".to_string(), vec!["L1".to_string()])]);
-        assert!(matches!(
-            parse_request(&schema, 1 << 20),
-            Ok(Request::Schema { .. })
-        ));
     }
 }

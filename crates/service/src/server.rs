@@ -29,18 +29,22 @@ use mdkpi::Schema;
 
 use crate::admission::{AdmissionControl, IdRows, Verdict};
 use crate::blackbox::BlackboxWriter;
-use crate::checkpoint::CheckpointStore;
+use crate::checkpoint::{read_snapshot, CheckpointStore};
 use crate::config::{ServiceConfig, ServiceConfigError};
 use crate::http::MetricsServer;
 use crate::json::Json;
 use crate::metrics::{build_version, Metrics};
-use crate::proto::{build_frame, read_request, serve_lines, Listener, ProtoError, Request};
+use crate::proto::{
+    build_frame, error_reply, read_import, read_request, serve_lines, Listener, ProtoError, Request,
+};
 use crate::quarantine::{QuarantineRecord, QuarantineSink};
 use crate::shard::{LocalizerFactory, ShardPool, TenantDebug};
 use crate::sink::IncidentSink;
 use crate::spool_lock::{SpoolLock, SPOOL_LOCK_WAIT};
 use crate::sync::{lock_recover, wait_recover};
-use crate::wal::{write_entry, FrameWal};
+use crate::wal::{
+    read_schema_parts, read_tenant_suffix, write_entry, FrameWal, SchemaParts, WalEntry,
+};
 
 /// How long a `flush` request waits for the shards before giving up.
 const FLUSH_TIMEOUT: Duration = Duration::from_secs(60);
@@ -291,8 +295,8 @@ fn boot(
         schemas: Mutex::new(recovery.schemas),
         wal,
         checkpoints,
+        recovered_max_seq: recovery.admitted.values().copied().max().unwrap_or(0),
         admitted: Mutex::new(recovery.admitted),
-        recovered_max_seq: recovery.max_seq,
         drain: DrainGate::default(),
         started: Instant::now(),
         _spool_lock: spool_lock,
@@ -340,8 +344,6 @@ struct Recovery {
     /// Highest acknowledged frame sequence per tenant (checkpoints + WAL)
     /// — the seed for the redelivery-dedup watermark.
     admitted: HashMap<String, u64>,
-    /// Highest frame sequence seen anywhere in the spool.
-    max_seq: u64,
 }
 
 /// Boot-time crash recovery: reload journaled schemas, advance the frame
@@ -359,24 +361,18 @@ fn recover_state(
     let mut schemas: HashMap<String, Schema> = HashMap::new();
     let mut acks: HashMap<String, u64> = HashMap::new();
     let mut admitted: HashMap<String, u64> = HashMap::new();
-    let mut max_seq = 0u64;
-    if let Some(store) = checkpoints {
-        for checkpoint in store.load_all() {
-            max_seq = max_seq.max(checkpoint.frame_seq);
-            let seen = admitted.entry(checkpoint.tenant.clone()).or_insert(0);
-            *seen = (*seen).max(checkpoint.frame_seq);
-            acks.insert(checkpoint.tenant, checkpoint.wal_ack);
-        }
+    for checkpoint in checkpoints
+        .map(CheckpointStore::load_all)
+        .unwrap_or_default()
+    {
+        let seen = admitted.entry(checkpoint.tenant.clone()).or_insert(0);
+        *seen = (*seen).max(checkpoint.frame_seq);
+        acks.insert(checkpoint.tenant, checkpoint.wal_ack);
     }
-    let Some(wal) = wal else {
-        obs::FrameId::advance_past(max_seq);
-        return Recovery {
-            schemas,
-            admitted,
-            max_seq,
-        };
-    };
-    for (tenant, parts) in wal.recover_schemas() {
+    let (journal, entries) = wal.map_or_else(Default::default, |wal| {
+        (wal.recover_schemas(), wal.recover())
+    });
+    for (tenant, parts) in journal {
         match Schema::from_parts(parts) {
             Ok(schema) => {
                 schemas.insert(tenant, schema);
@@ -391,48 +387,20 @@ fn recover_state(
             ),
         }
     }
-    let entries = wal.recover();
     for entry in &entries {
-        max_seq = max_seq.max(entry.seq);
         let seen = admitted.entry(entry.tenant.clone()).or_insert(0);
         *seen = (*seen).max(entry.seq);
     }
     // New tokens must never collide with replayed (or checkpointed) ones.
-    obs::FrameId::advance_past(max_seq);
+    obs::FrameId::advance_past(admitted.values().copied().max().unwrap_or(0));
     let mut replayed = 0u64;
-    for entry in entries {
-        if entry.seq <= acks.get(&entry.tenant).copied().unwrap_or(0) {
-            continue;
+    for entry in &entries {
+        if entry.seq > acks.get(&entry.tenant).copied().unwrap_or(0)
+            && replay(metrics, pool, schemas.get(&entry.tenant), entry)
+        {
+            metrics.wal_replayed_frames.fetch_add(1, Ordering::Relaxed);
+            replayed += 1;
         }
-        let Some(schema) = schemas.get(&entry.tenant) else {
-            obs::warn(
-                "rapd.server",
-                "replay_missing_schema",
-                &[
-                    ("tenant", obs::Value::Str(entry.tenant.clone())),
-                    ("frame", obs::Value::Str(entry.frame.clone())),
-                ],
-            );
-            continue;
-        };
-        // journaled rows were already admitted once; a frame the current
-        // schema can no longer resolve is skipped, never fatal
-        let Ok(frame) = build_frame(schema, &entry.rows) else {
-            obs::warn(
-                "rapd.server",
-                "replay_frame_unresolvable",
-                &[
-                    ("tenant", obs::Value::Str(entry.tenant.clone())),
-                    ("frame", obs::Value::Str(entry.frame.clone())),
-                ],
-            );
-            continue;
-        };
-        metrics.frames_ingested.fetch_add(1, Ordering::Relaxed);
-        metrics.wal_replayed_frames.fetch_add(1, Ordering::Relaxed);
-        let id = obs::FrameId::adopt(&entry.frame, entry.seq);
-        pool.ingest(id, &entry.tenant, frame, entry.ts);
-        replayed += 1;
     }
     if replayed > 0 {
         obs::info(
@@ -441,11 +409,96 @@ fn recover_state(
             &[("frames", obs::Value::U64(replayed))],
         );
     }
-    Recovery {
-        schemas,
-        admitted,
-        max_seq,
+    Recovery { schemas, admitted }
+}
+
+/// Replay one journaled frame into the shard pool under its original
+/// token, counted as ingested but not admitted or journaled again, for
+/// boot recovery and an `import`. A frame `schema` cannot resolve is
+/// skipped with a warning (`false`), never fatal.
+fn replay(metrics: &Metrics, pool: &ShardPool, schema: Option<&Schema>, entry: &WalEntry) -> bool {
+    let frame = match schema.map(|schema| build_frame(schema, &entry.rows)) {
+        Some(Ok(frame)) => frame,
+        unusable => {
+            let event = match unusable {
+                None => "replay_missing_schema",
+                _ => "replay_frame_unresolvable",
+            };
+            let fields = [
+                ("tenant", obs::Value::Str(entry.tenant.clone())),
+                ("frame", obs::Value::Str(entry.frame.clone())),
+            ];
+            obs::warn("rapd.server", event, &fields);
+            return false;
+        }
+    };
+    metrics.frames_ingested.fetch_add(1, Ordering::Relaxed);
+    let id = obs::FrameId::adopt(&entry.frame, entry.seq);
+    pool.ingest(id, &entry.tenant, frame, entry.ts);
+    true
+}
+
+/// Run an `import` line: take a tenant over from the fleet worker it names
+/// as boot recovery resumes one, only reading that worker's spool
+/// (`worker-<source>` beside this one), and return how many journaled
+/// frames were replayed. Each step can run again: a retry redoes it all.
+pub(crate) fn import(line: &str, shared: &Shared) -> Result<usize, String> {
+    let (tenant, source, attributes) = read_import(line).map_err(|e| e.to_string())?;
+    let from = (shared.config.spool_dir.as_deref())
+        .ok_or("this worker has no spool")?
+        .with_file_name(format!("worker-{source}"));
+    let failed = |step: &str| format!("could not {step} of '{tenant}' here");
+    // fences and drops whatever an earlier, failed import left here
+    if !shared.pool.adopt(&tenant, FLUSH_TIMEOUT) {
+        return Err(failed("checkpoint the record"));
     }
+    if let Some(parts) = attributes.or_else(|| read_schema_parts(&from, &tenant)) {
+        register_schema(shared, &tenant, parts).map_err(|e| e.to_string())?;
+    }
+    let snapshot = read_snapshot(&from, &tenant);
+    if let (Some(snapshot), Some(store)) = (&snapshot, &shared.checkpoints) {
+        if !store.write(snapshot) {
+            return Err(failed("write the checkpoint"));
+        }
+    }
+    let suffix = read_tenant_suffix(&from, &tenant, snapshot.as_ref().map_or(0, |c| c.wal_ack));
+    if let Some(wal) = &shared.wal {
+        // the suffix becomes the tenant's journal: no seq twice on a retry
+        if !wal.compact(&tenant, u64::MAX) {
+            return Err(failed("rewrite the journal"));
+        }
+        for entry in &suffix {
+            wal.append_with(&tenant, || entry.to_json().render());
+        }
+    }
+    let last = suffix.last().map(|e| e.seq);
+    let mut admitted = lock_recover(&shared.admitted);
+    let seen = admitted.entry(tenant.clone()).or_insert(0);
+    *seen = (*seen).max(last.max(snapshot.map(|c| c.frame_seq)).unwrap_or(0));
+    drop(admitted);
+    let schema = lock_recover(&shared.schemas).get(&tenant).cloned();
+    let (metrics, pool) = (&shared.metrics, &shared.pool);
+    Ok(suffix
+        .iter()
+        .filter(|e| replay(metrics, pool, schema.as_ref(), e))
+        .count())
+}
+
+/// Register `tenant`'s schema, or the same one again, journaling it
+/// first: replay after a crash must be able to re-resolve its frames.
+fn register_schema(shared: &Shared, tenant: &str, parts: SchemaParts) -> Result<(), ProtoError> {
+    let schema =
+        Schema::from_parts(parts.clone()).map_err(|e| ProtoError::BadSchema(e.to_string()))?;
+    let mut schemas = lock_recover(&shared.schemas);
+    if matches!(schemas.get(tenant), Some(existing) if *existing != schema) {
+        let tenant = tenant.to_string();
+        return Err(ProtoError::SchemaConflict { tenant });
+    }
+    if let Some(wal) = &shared.wal {
+        wal.append_schema(tenant, &parts);
+    }
+    schemas.insert(tenant.to_string(), schema);
+    Ok(())
 }
 
 /// Serve one NDJSON client connection against the daemon core.
@@ -600,22 +653,7 @@ pub(crate) fn dispatch(
     let parse_us = (parse_started.elapsed().as_secs_f64() * 1e6).round();
     match request {
         Request::Schema { tenant, attributes } => {
-            let schema = Schema::from_parts(attributes.clone())
-                .map_err(|e| ProtoError::BadSchema(e.to_string()))?;
-            let mut schemas = lock_recover(&shared.schemas);
-            match schemas.get(&tenant) {
-                Some(existing) if *existing != schema => {
-                    return Err(ProtoError::SchemaConflict { tenant });
-                }
-                _ => {
-                    // journal before acknowledging: replay after a crash
-                    // must be able to re-resolve this tenant's frames
-                    if let Some(wal) = &shared.wal {
-                        wal.append_schema(&tenant, &attributes);
-                    }
-                    schemas.insert(tenant.clone(), schema);
-                }
-            }
+            register_schema(shared, &tenant, attributes)?;
             Ok(ok_reply(vec![("tenant".to_string(), Json::str(tenant))]))
         }
         Request::Observe { tenant, rows, ts } => {
@@ -696,14 +734,9 @@ pub(crate) fn dispatch(
                 ("adopted".to_string(), Json::Bool(adopted)),
             ]))
         }
-        Request::Handoff { .. } => Ok(Json::Obj(vec![
-            ("type".to_string(), Json::str("error")),
-            (
-                "reason".to_string(),
-                Json::str("handoff requires a worker fleet (serve --workers N)"),
-            ),
-        ])
-        .render()),
+        Request::Handoff { .. } => Ok(error_reply(
+            "handoff requires a worker fleet (serve --workers N)",
+        )),
     }
 }
 

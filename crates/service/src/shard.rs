@@ -55,7 +55,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime};
 
@@ -99,15 +99,15 @@ enum Job {
     /// reorder buffers — parked frames stay parked and remain covered by
     /// the WAL suffix past the acknowledged sequence.
     Checkpoint(Arc<FlushGate>),
-    /// Forget one tenant's [`Tenant`] record so its next frame lazily
-    /// restores from whatever the checkpoint store now holds. The fleet
-    /// handoff protocol posts this to both sides of a transfer after
-    /// copying the snapshot. Any frames still parked in the tenant's
-    /// reorder buffer are released through the pipeline first — an adopt
-    /// must never lose an admitted frame.
+    /// Forget one tenant's [`Tenant`] record once a final checkpoint of it
+    /// is on disk, so its next frame lazily restores from whatever the
+    /// checkpoint store then holds; `adopted` carries whether it was
+    /// forgotten. Any frames still parked in the tenant's reorder buffer
+    /// are released through the pipeline first — an adopt must never lose
+    /// an admitted frame.
     Adopt {
         tenant: Arc<str>,
-        gate: Arc<FlushGate>,
+        adopted: mpsc::SyncSender<bool>,
     },
     /// Worker exit, after every reorder buffer is drained through the
     /// pipeline.
@@ -649,19 +649,19 @@ impl ShardPool {
     /// Forget one tenant's live state on its shard worker: any frames
     /// parked in the tenant's reorder buffer are released through the
     /// pipeline first, a final checkpoint covers every frame it consumed,
-    /// and its `Tenant` record is dropped. The tenant's next frame
-    /// restores from whatever the checkpoint store holds at that point —
-    /// this is how both sides of a fleet handoff pick up a transferred
-    /// snapshot. Returns whether the shard acknowledged within the
-    /// timeout.
+    /// and once that checkpoint is on disk its `Tenant` record is dropped.
+    /// The tenant's next frame restores from whatever the checkpoint store
+    /// holds at that point. Returns whether the tenant was forgotten
+    /// within the timeout; `false` when the final checkpoint could not be
+    /// written, which leaves the tenant live here.
     pub fn adopt(&self, tenant: &str, timeout: Duration) -> bool {
         let shard = self.shard_for(tenant);
-        let gate = Arc::new(FlushGate::new(1));
+        let (adopted, reply) = mpsc::sync_channel(1);
         self.shared.queues[shard].push_control(Job::Adopt {
             tenant: Arc::from(tenant),
-            gate: Arc::clone(&gate),
+            adopted,
         });
-        gate.wait(timeout)
+        reply.recv_timeout(timeout).unwrap_or(false)
     }
 
     /// Stop the supervisor, then every worker after it drains its queue.
@@ -990,9 +990,8 @@ fn worker_loop(shard: usize, shared: &PoolShared) {
                 checkpoint_shard(shared, &mut tenants);
                 gate.done();
             }
-            Job::Adopt { tenant, gate } => {
-                adopt_tenant(shard, shared, &mut tenants, &tenant);
-                gate.done();
+            Job::Adopt { tenant, adopted } => {
+                let _ = adopted.send(adopt_tenant(shard, shared, &mut tenants, &tenant));
             }
             Job::Frame {
                 id,
@@ -1059,24 +1058,26 @@ fn checkpoint_shard(shared: &PoolShared, tenants: &mut Tenants) {
     }
 }
 
-/// Snapshot one tenant to the checkpoint store and compact its WAL
-/// segment up to the acknowledged sequence. No-op while the tenant has no
-/// engine (none built yet, or quarantined after a panic).
+/// Snapshot one tenant to the checkpoint store and, once the snapshot is
+/// on disk, compact its WAL segment up to the acknowledged sequence.
+/// Returns whether a snapshot was written: `false` while the tenant has no
+/// engine (none built yet, or quarantined after a panic) and when the
+/// write failed, which leaves the WAL as it was.
 fn checkpoint_tenant(
     shared: &PoolShared,
     store: &CheckpointStore,
     tenant: &Arc<str>,
     state: &mut Tenant,
     guard: &ConfigGuard,
-) {
+) -> bool {
     let Some(engine) = &state.engine else {
-        return;
+        return false;
     };
     let now_ms = unix_millis_now();
     let (reorder, breaker) = (&state.reorder, &state.breaker);
     let oldest_parked = reorder.buf.values().map(|(id, _, _)| id.seq()).min();
     let wal_ack = oldest_parked.map_or(state.consumed, |seq| seq.saturating_sub(1));
-    store.write(&TenantCheckpoint {
+    let written = store.write(&TenantCheckpoint {
         tenant: tenant.to_string(),
         ts_unix_ms: now_ms,
         wal_ack,
@@ -1094,6 +1095,9 @@ fn checkpoint_tenant(
         guard: guard.clone(),
         engine: engine.snapshot(),
     });
+    if !written {
+        return false;
+    }
     if let Some(wal) = &shared.wal {
         wal.compact(tenant, wal_ack);
     }
@@ -1101,29 +1105,38 @@ fn checkpoint_tenant(
     if let Some(d) = lock_recover(&shared.debug).get_mut(tenant.as_ref()) {
         d.last_checkpoint_unix_ms = Some(now_ms);
     }
+    true
 }
 
 /// Drop one tenant's record so its next frame lazily restores from the
-/// checkpoint store ([`Job::Adopt`]). Frames still parked in the tenant's
-/// reorder buffer go through the pipeline first — an adopt must never
-/// lose an admitted frame — and the drained state is snapshotted to the
-/// checkpoint store as a *final* checkpoint before being forgotten. A
-/// pipeline quarantined by a panic is first replaced by the fresh engine
-/// its next frame would have built, so that snapshot is always written,
-/// and with the buffer drained its `wal_ack` equals the consumed
-/// watermark: its WAL compaction leaves exactly the never-processed
-/// suffix behind — the invariant the fleet handoff protocol relies on
-/// when it lifts a tenant's checkpoint + WAL suffix out of this worker's
-/// spool.
-fn adopt_tenant(shard: usize, shared: &PoolShared, tenants: &mut Tenants, tenant: &Arc<str>) {
-    if let Some(mut state) = tenants.remove(tenant) {
+/// checkpoint store ([`Job::Adopt`]); returns whether it was dropped.
+/// Frames still parked in the tenant's reorder buffer go through the
+/// pipeline first — an adopt must never lose an admitted frame — and the
+/// drained state is snapshotted to the checkpoint store as a *final*
+/// checkpoint. A pipeline quarantined by a panic is first replaced by the
+/// fresh engine its next frame would have built, so that snapshot is
+/// always taken, and with the buffer drained its `wal_ack` equals the
+/// consumed watermark: its WAL compaction leaves exactly the
+/// never-processed suffix behind, which a fleet handoff's target replays.
+/// The record is dropped only once that snapshot is on disk; when the
+/// write fails the tenant stays live here, or the frames it processed
+/// would stay in the suffix and run a second time on the target.
+fn adopt_tenant(
+    shard: usize,
+    shared: &PoolShared,
+    tenants: &mut Tenants,
+    tenant: &Arc<str>,
+) -> bool {
+    if let Some(state) = tenants.get_mut(tenant) {
         let drained = state.reorder.drain();
-        process_released(shard, shared, tenant, &mut state, drained, Instant::now());
+        process_released(shard, shared, tenant, state, drained, Instant::now());
         if let Some(store) = &shared.checkpoints {
             state
                 .engine
                 .get_or_insert_with(|| TenantEngine::build(shared));
-            checkpoint_tenant(shared, store, tenant, &mut state, &config_guard(shared));
+            if !checkpoint_tenant(shared, store, tenant, state, &config_guard(shared)) {
+                return false;
+            }
         }
         if state.breaker.state != BreakerState::Closed {
             // the open-breaker gauge counts live breakers; this one is
@@ -1134,6 +1147,7 @@ fn adopt_tenant(shard: usize, shared: &PoolShared, tenants: &mut Tenants, tenant
                 .breaker_open
                 .fetch_sub(1, Ordering::Relaxed);
         }
+        tenants.remove(tenant);
     }
     lock_recover(&shared.debug).remove(tenant.as_ref());
     obs::info(
@@ -1144,6 +1158,7 @@ fn adopt_tenant(shard: usize, shared: &PoolShared, tenants: &mut Tenants, tenant
             ("shard", obs::Value::U64(shard as u64)),
         ],
     );
+    true
 }
 
 /// Resolve an unseen tenant's checkpoint before its first frame: restore
@@ -2452,6 +2467,79 @@ mod tests {
         // replays nothing the source already processed
         assert_eq!(checkpoint.frame_seq, 4);
         assert_eq!(checkpoint.wal_ack, 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Occupy `t`'s checkpoint temp path with a directory, so the next
+    /// snapshot write of tenant `t` in `dir` fails.
+    fn block_checkpoint_writes(dir: &std::path::Path) {
+        std::fs::create_dir_all(dir.join("checkpoints/t.json.tmp")).unwrap();
+    }
+
+    #[test]
+    fn a_failed_checkpoint_write_compacts_nothing_and_a_reopen_replays_the_frames() {
+        let dir = spool("write-fails");
+        let cfg = touchy_config(0, Duration::from_secs(1));
+        let metrics = Arc::new(Metrics::new(1));
+        let store = CheckpointStore::open(&dir, Arc::clone(&metrics)).unwrap();
+        let wal = Arc::new(FrameWal::open(&dir, Arc::clone(&metrics), false).unwrap());
+        let pool = ShardPool::start(
+            &cfg,
+            Arc::clone(&metrics),
+            sink(&metrics),
+            quarantine(&metrics),
+            blackbox_writer(&metrics),
+            default_factory(),
+            Some(Arc::clone(&wal)),
+            Some(Arc::new(store)),
+        );
+        let s = schema();
+        // journal each frame before it is queued, as the observe path does
+        let observe = |seq: u64| {
+            let rows = [(["a1"], 100.0), (["a2"], 100.0)];
+            wal.append_with("t", || {
+                let rows = rows.iter().map(|(names, v)| (names.iter().copied(), *v));
+                crate::wal::write_entry("t", &format!("t-{seq:08x}-0"), seq, None, 0, rows)
+            });
+            ingest_seq(&pool, seq, frame(&s, 100.0, 100.0), None);
+        };
+        (1..=3).for_each(observe);
+        assert!(pool.checkpoint_all(Duration::from_secs(10)));
+        (4..=6).for_each(observe);
+        block_checkpoint_writes(&dir);
+        assert!(pool.checkpoint_all(Duration::from_secs(10)));
+        pool.shutdown();
+        assert_eq!(metrics.checkpoint_errors.load(Ordering::Relaxed), 1);
+        // a crash now: the snapshot on disk covers frames 1-3, so the
+        // journal must still hold 4-6 for the restart to replay
+        let store = CheckpointStore::open(&dir, Arc::new(Metrics::new(1))).unwrap();
+        assert_eq!(store.load("t").map(|c| c.wal_ack), Some(3));
+        let reopened = FrameWal::open(&dir, Arc::new(Metrics::new(1)), false).unwrap();
+        let seqs: Vec<u64> = reopened.recover().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [4, 5, 6], "the frames past the snapshot on disk");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_adopt_whose_final_checkpoint_fails_keeps_the_tenant_live() {
+        let dir = spool("adopt-fails");
+        let cfg = touchy_config(0, Duration::from_secs(1));
+        let metrics = Arc::new(Metrics::new(1));
+        let pool = pool_with_store(&cfg, &metrics, default_factory(), &dir);
+        let s = schema();
+        for seq in 1..=3 {
+            ingest_seq(&pool, seq, frame(&s, 100.0, 100.0), None);
+        }
+        block_checkpoint_writes(&dir);
+        assert!(!pool.adopt("t", Duration::from_secs(10)), "nothing on disk");
+        let held = || pool.tenant_debug().iter().any(|(tenant, _)| tenant == "t");
+        assert!(held(), "the tenant stays live where it was");
+        std::fs::remove_dir(dir.join("checkpoints/t.json.tmp")).unwrap();
+        assert!(pool.adopt("t", Duration::from_secs(10)));
+        assert!(!held());
+        pool.shutdown();
+        let store = CheckpointStore::open(&dir, Arc::clone(&metrics)).unwrap();
+        assert_eq!(store.load("t").map(|c| c.wal_ack), Some(3));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

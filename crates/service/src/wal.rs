@@ -41,15 +41,14 @@ use obs::write_json_string;
 
 use crate::json::{write_number, Json};
 use crate::metrics::Metrics;
+use crate::proto::attributes_json;
 use crate::segment::{frame, read_payloads, sanitize_tenant, segment_path, LogSpec, SegmentLog};
 use crate::sync::lock_recover;
 
 /// The schema journal's segment stem.
 const SCHEMAS: &str = "schemas";
 
-/// A journaled schema: the attribute parts (`(name, element names)`) a
-/// tenant registered, exactly as `Request::Schema` carries them.
-pub type SchemaParts = Vec<(String, Vec<String>)>;
+pub use crate::proto::SchemaParts;
 
 /// One journaled frame: everything needed to re-ingest it byte-identically
 /// after a crash. The tenant rides inside the JSON (not just the file
@@ -246,7 +245,8 @@ impl FrameWal {
     /// neighbor's unacknowledged frames. The segment is rewritten under
     /// the segment lock (see [`SegmentLog::scan`]), so a concurrent
     /// observe-path append lands wholly before or after the rewrite.
-    pub fn compact(&self, tenant: &str, ack_seq: u64) {
+    /// Returns whether the segment could be read and rewritten.
+    pub fn compact(&self, tenant: &str, ack_seq: u64) -> bool {
         let stem = sanitize_tenant(tenant);
         let mut depth = lock_recover(&self.depth);
         let mut kept = 0u64;
@@ -265,15 +265,19 @@ impl FrameWal {
                 }
                 depth.insert(stem, kept);
                 self.publish_depth(&depth);
+                true
             }
-            Err(e) => obs::warn(
-                "rapd.wal",
-                "wal_compact_failed",
-                &[
-                    ("tenant", obs::Value::Str(tenant.to_string())),
-                    ("error", obs::Value::Str(e.to_string())),
-                ],
-            ),
+            Err(e) => {
+                obs::warn(
+                    "rapd.wal",
+                    "wal_compact_failed",
+                    &[
+                        ("tenant", obs::Value::Str(tenant.to_string())),
+                        ("error", obs::Value::Str(e.to_string())),
+                    ],
+                );
+                false
+            }
         }
     }
 
@@ -306,20 +310,7 @@ impl FrameWal {
     pub fn append_schema(&self, tenant: &str, parts: &[(String, Vec<String>)]) {
         let doc = Json::Obj(vec![
             ("tenant".to_string(), Json::str(tenant)),
-            (
-                "attrs".to_string(),
-                Json::Arr(
-                    parts
-                        .iter()
-                        .map(|(name, elements)| {
-                            Json::Arr(vec![
-                                Json::str(name),
-                                Json::Arr(elements.iter().map(Json::str).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("attrs".to_string(), attributes_json(parts)),
         ]);
         self.log.append(SCHEMAS, &frame(doc.render()));
     }
@@ -333,11 +324,11 @@ impl FrameWal {
 
 /// Read one tenant's journaled entries with `seq > after_seq` from a
 /// spool directory, **read-only** — no repair, no truncation, no handle
-/// caching. The fleet handoff protocol uses this to lift a tenant's WAL
-/// suffix out of a *live* worker's spool: the worker keeps appending for
+/// caching. A fleet worker taking a tenant over reads the WAL suffix out
+/// of its *live* source's spool this way: the source keeps appending for
 /// other tenants, so the reader must not rewrite its files. A torn tail
-/// (should the worker die mid-append during the copy) simply fails its
-/// check and is skipped — exactly what the worker's own recovery would
+/// (should the source die mid-append during the read) simply fails its
+/// check and is skipped — exactly what the source's own recovery would
 /// have discarded.
 pub fn read_tenant_suffix(spool_dir: &Path, tenant: &str, after_seq: u64) -> Vec<WalEntry> {
     let mut entries = Vec::new();
@@ -354,8 +345,9 @@ pub fn read_tenant_suffix(spool_dir: &Path, tenant: &str, after_seq: u64) -> Vec
 }
 
 /// Read one tenant's journaled schema parts from a spool directory,
-/// read-only (last entry wins). The handoff fallback when the router has
-/// not seen the tenant's schema line itself.
+/// read-only (last entry wins). A handoff's target falls back to its
+/// source's journal this way when the router has not seen the tenant's
+/// schema itself.
 pub fn read_schema_parts(spool_dir: &Path, tenant: &str) -> Option<SchemaParts> {
     read_schemas(&segment_path(&spool_dir.join("wal"), SCHEMAS))
         .into_iter()

@@ -28,11 +28,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::config::ServiceConfig;
+use crate::json::Json;
 use crate::proto::{
-    hello_ack_frame, negotiate_hello, read_wire_frame, setup_stream, write_wire_frame,
-    WireEnvelope, WireRead, READ_POLL, WIRE_VERSION,
+    error_reply, hello_ack_frame, negotiate_hello, read_wire_frame, setup_stream, write_wire_frame,
+    ProtoError, WireEnvelope, WireRead, READ_POLL, WIRE_VERSION,
 };
-use crate::server::{dispatch, drain, serve_with, ServerHandle, Shared, StartError};
+use crate::server::{
+    dispatch, drain, import, ok_reply, serve_with, ServerHandle, Shared, StartError,
+};
 use crate::shard::LocalizerFactory;
 
 /// Boot one fleet worker: the full rapd core on `config` (spool, WAL,
@@ -116,15 +119,18 @@ fn envelope_reply(payload: &str, shared: &Shared) -> String {
                 .metrics
                 .protocol_errors
                 .fetch_add(1, Ordering::Relaxed);
-            return crate::json::Json::Obj(vec![
-                ("type".to_string(), crate::json::Json::str("error")),
-                ("reason".to_string(), crate::json::Json::str(reason)),
-            ])
-            .render();
+            return error_reply(&reason);
         }
     };
     match dispatch(&envelope.line, shared, envelope.frame.as_ref()) {
         Ok(reply) => reply,
+        // the router→worker verb, which no NDJSON front door takes up
+        Err(ProtoError::UnknownType(verb)) if verb == "import" => {
+            match import(&envelope.line, shared) {
+                Ok(n) => ok_reply(vec![("replayed".to_string(), Json::Num(n as f64))]),
+                Err(e) => error_reply(&format!("import failed: {e}")),
+            }
+        }
         Err(e) => {
             shared
                 .metrics
@@ -197,6 +203,8 @@ mod tests {
     use super::*;
     use crate::default_factory;
     use crate::proto::hello_frame;
+    use crate::shard::LocalizerFactory;
+    use std::sync::atomic::AtomicBool;
 
     fn worker_config(spool: &std::path::Path) -> ServiceConfig {
         ServiceConfig {
@@ -266,6 +274,138 @@ mod tests {
 
         worker.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A localizer that panics while `armed`: a stand-in for a pipeline bug.
+    struct Panicky(Arc<AtomicBool>, baselines::RapMinerLocalizer);
+
+    impl baselines::Localizer for Panicky {
+        fn name(&self) -> &'static str {
+            "panicky"
+        }
+        fn localize(
+            &self,
+            frame: &mdkpi::LeafFrame,
+            k: usize,
+        ) -> baselines::Result<Vec<baselines::ScoredCombination>> {
+            assert!(!self.0.load(Ordering::Relaxed), "injected pipeline bug");
+            self.1.localize(frame, k)
+        }
+    }
+
+    /// One request over an open worker connection, its reply parsed.
+    fn call(conn: &mut TcpStream, line: &str, frame: Option<u64>) -> Json {
+        let frame = frame.map(|seq| (format!("t-{seq:08x}-0"), seq));
+        let envelope = WireEnvelope {
+            line: line.to_string(),
+            frame,
+        };
+        crate::json::parse(&roundtrip(conn, &envelope.render())).unwrap()
+    }
+
+    #[test]
+    fn an_import_takes_the_tenant_over_from_the_source_whatever_the_target_held() {
+        let root = scratch("import");
+        // alarm on any deviation, so a collapse reaches the localizer
+        let config = |dir: &std::path::Path| ServiceConfig {
+            checkpoint_interval: Duration::ZERO,
+            forecast_window: 2,
+            pipeline: pipeline::PipelineConfig {
+                history_len: 8,
+                warmup: 1,
+                alarm_threshold: 0.01,
+                leaf_threshold: 0.01,
+                k: 1,
+                ..pipeline::PipelineConfig::default()
+            },
+            ..worker_config(dir)
+        };
+        let schema = r#"{"type":"schema","tenant":"t","attributes":[["loc",["L1","L2"]]]}"#;
+        let observe = |l1: f64| {
+            format!(r#"{{"type":"observe","tenant":"t","rows":[[["L1"],{l1}],[["L2"],100]]}}"#)
+        };
+        // the source: a snapshot covering seqs 1-5 and frames 6-8 journaled
+        // past it, what a final checkpoint that never reached disk leaves
+        let source = start_worker(config(&root.join("worker-0")), default_factory(), 0).unwrap();
+        let mut src = TcpStream::connect(source.ingest_addr()).unwrap();
+        roundtrip(&mut src, &hello_frame());
+        call(&mut src, schema, None);
+        for seq in 1..=8 {
+            call(&mut src, &observe(100.0), Some(seq));
+            if seq == 5 {
+                call(&mut src, r#"{"type":"checkpoint"}"#, None);
+            }
+        }
+        call(&mut src, r#"{"type":"flush"}"#, None);
+        let import = crate::proto::import_line("t", 0, None);
+        let adopt = r#"{"type":"adopt","tenant":"t"}"#;
+        for quarantined in [false, true] {
+            let dir = root.join("worker-1");
+            let _ = std::fs::remove_dir_all(&dir);
+            let armed = Arc::new(AtomicBool::new(quarantined));
+            let factory: LocalizerFactory = {
+                let armed = Arc::clone(&armed);
+                Arc::new(move |_| {
+                    Box::new(Panicky(Arc::clone(&armed), Default::default()))
+                        as Box<dyn baselines::Localizer>
+                })
+            };
+            let target = start_worker(config(&dir), factory, 1).unwrap();
+            let mut tgt = TcpStream::connect(target.ingest_addr()).unwrap();
+            roundtrip(&mut tgt, &hello_frame());
+            // a record of the tenant's own here: live, or quarantined by
+            // the panic its collapse frame sets off
+            call(&mut tgt, schema, None);
+            call(&mut tgt, &observe(100.0), Some(50));
+            let l1 = if quarantined { 0.0 } else { 100.0 };
+            call(&mut tgt, &observe(l1), Some(51));
+            call(&mut tgt, r#"{"type":"flush"}"#, None);
+            armed.store(false, Ordering::Relaxed);
+            let m = &target.shared.metrics;
+            assert_eq!(
+                m.pipeline_restarts_panic.load(Ordering::Relaxed),
+                quarantined as u64
+            );
+            // an import's frames count as ingested, not as replayed at startup
+            let counts = || {
+                let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
+                let frames = (load(&m.frames_ingested), m.total_processed());
+                let warmth = (load(&m.checkpoint_restores), load(&m.detector_rewarms));
+                (frames, warmth, load(&m.wal_replayed_frames))
+            };
+            let ((ingested, processed), (restores, rewarms), _) = counts();
+            // the first import, then a retry of it
+            for attempt in 1..=2 {
+                let reply = call(&mut tgt, &import, None);
+                assert_eq!(
+                    reply.get("replayed").and_then(Json::as_u64),
+                    Some(3),
+                    "{reply}"
+                );
+                call(&mut tgt, r#"{"type":"flush"}"#, None);
+                // restored from the source's snapshot, the suffix run once
+                let frames = (ingested + 3 * attempt, processed + 3 * attempt);
+                assert_eq!(counts(), (frames, (restores + attempt, rewarms), 0));
+                let journaled = crate::wal::read_tenant_suffix(&dir, "t", 0);
+                let seqs: Vec<u64> = journaled.iter().map(|e| e.seq).collect();
+                assert_eq!(seqs, [6, 7, 8], "each suffix seq journaled once");
+            }
+            let reply = call(&mut tgt, adopt, None);
+            assert_eq!(reply.get("adopted").and_then(Json::as_bool), Some(true));
+            target.shutdown();
+        }
+        // the target ended where the source is: frames 1-8, once each
+        let reply = call(&mut src, adopt, None);
+        assert_eq!(reply.get("adopted").and_then(Json::as_bool), Some(true));
+        source.shutdown();
+        let snapshot = |worker: &str| {
+            crate::checkpoint::read_snapshot(&root.join(worker), "t").expect("a final snapshot")
+        };
+        let (ours, theirs) = (snapshot("worker-1"), snapshot("worker-0"));
+        assert_eq!((ours.wal_ack, ours.frame_seq), (8, 8));
+        assert_eq!((theirs.wal_ack, theirs.frame_seq), (8, 8));
+        assert_eq!(ours.engine, theirs.engine);
+        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -422,3 +422,28 @@ fn oversized_and_malformed_lines_never_kill_the_daemon() {
 
     server.shutdown();
 }
+
+#[test]
+fn deep_nesting_and_the_router_only_import_verb_get_error_replies() {
+    let config = ServiceConfig {
+        listen: "127.0.0.1:0".to_string(),
+        metrics_listen: "127.0.0.1:0".to_string(),
+        shards: 1,
+        ..ServiceConfig::default()
+    };
+    let server = service::start(config, service::default_factory()).unwrap();
+    let mut client = Client::connect(server.ingest_addr());
+    // 200 kB each, under the default 1 MiB line cap; one of these once
+    // overflowed the connection thread's stack and aborted the daemon
+    for line in ["[".repeat(200_000), r#"{"a":"#.repeat(200_000)] {
+        let reply = client.request(&line);
+        let reason = reply.get("reason").and_then(Json::as_str).unwrap_or("");
+        assert!(reason.contains("malformed JSON"), "{reply}");
+    }
+    let reply = client.request(r#"{"type":"import","tenant":"t","source":0}"#);
+    let reason = reply.get("reason").and_then(Json::as_str).unwrap_or("");
+    assert!(reason.contains("unknown message type 'import'"), "{reply}");
+    let reply = client.request(r#"{"type":"stats"}"#);
+    assert_eq!(reply.get("protocol_errors").and_then(Json::as_u64), Some(3));
+    server.shutdown();
+}
