@@ -21,10 +21,18 @@ use cdnsim::{named_rows, CdnTopology, FailureInjector, TrafficConfig, TrafficMod
 use mdkpi::Schema;
 use service::json::{parse, Json};
 
-/// One rapd daemon subprocess plus the ingest address it announced.
+/// One rapd daemon subprocess plus the ingest address it announced,
+/// killed if a failed assertion drops it first (its spool stays behind).
 struct Daemon {
     child: Child,
     addr: String,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 /// Spawn `rapminer serve` on `spool` and wait for its listener line.

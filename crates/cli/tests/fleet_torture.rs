@@ -28,10 +28,19 @@ use cdnsim::{named_rows, CdnTopology, FailureInjector, TrafficConfig, TrafficMod
 use mdkpi::Schema;
 use service::json::{parse, Json};
 
-/// One rapd process (router or single daemon) plus its ingest address.
+/// One rapd process (router or single daemon) plus its ingest address,
+/// killed if a failed assertion drops it first. A fleet's workers then
+/// read end-of-file on stdin, drain and exit; the spool stays behind.
 struct Daemon {
     child: Child,
     addr: String,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
 }
 
 /// The `serve` flags shared by every process in this harness, so the
@@ -581,7 +590,17 @@ fn holder(client: &mut Client) -> u64 {
 /// reply is an error naming `step`, and routing stays as it was.
 fn fail_handoff(client: &mut Client, spool: &Path, worker: u64, step: &str) {
     let blocked = spool.join(format!("worker-{worker}/checkpoints/edge.json.tmp"));
-    std::fs::create_dir_all(&blocked).expect("block the snapshot write");
+    // a worker holding `edge` also checkpoints it on its ticker, and
+    // while such a write is under way its temp file sits at `blocked`
+    // until the rename: wait that out
+    let until = Instant::now() + Duration::from_secs(10);
+    while let Err(e) = std::fs::create_dir_all(&blocked) {
+        assert!(
+            e.kind() == std::io::ErrorKind::AlreadyExists && Instant::now() < until,
+            "block the snapshot write: {e}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let reply = client.request(r#"{"type":"handoff","tenant":"edge"}"#);
     assert_eq!(
         reply.get("type").and_then(Json::as_str),
@@ -672,6 +691,112 @@ fn a_failed_handoff_changes_nothing_and_its_retry_is_byte_identical() {
         "failed and retried handoffs must not change the incident stream"
     );
     assert_eq!(tokens.len(), baseline_tokens.len());
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// The `wide` tenant's schema: `loc` L000–L199 × `svc` S000–S199.
+fn wide_schema_line() -> String {
+    let names = |prefix: char| {
+        let names: Vec<String> = (0..200).map(|i| format!(r#""{prefix}{i:03}""#)).collect();
+        names.join(",")
+    };
+    format!(
+        r#"{{"type":"schema","tenant":"wide","attributes":[["loc",[{}]],["svc",[{}]]]}}"#,
+        names('L'),
+        names('S')
+    )
+}
+
+/// An observe of `wide`'s first `leaves` leaves, 25 bytes a row; the
+/// leaf at `null_at`, if any, reads `null`.
+fn wide_observe_line(leaves: usize, null_at: Option<usize>) -> String {
+    let rows: Vec<String> = (0..leaves)
+        .map(|i| {
+            let value = if Some(i) == null_at {
+                "  null"
+            } else {
+                "100.25"
+            };
+            format!(r#"[["L{:03}","S{:03}"],{value}]"#, i / 200, i % 200)
+        })
+        .collect();
+    format!(
+        r#"{{"type":"observe","tenant":"wide","rows":[{}]}}"#,
+        rows.join(",")
+    )
+}
+
+/// Worker 0's entry in a fanned reply, under `key`.
+fn worker_zero<'a>(reply: &'a Json, key: &str) -> &'a Json {
+    let workers = reply
+        .get("workers")
+        .and_then(Json::as_arr)
+        .expect("workers");
+    workers[0]
+        .get(key)
+        .unwrap_or_else(|| panic!("worker 0 has no {key}: {reply}"))
+}
+
+/// A fleet forwards every line a single daemon accepts: an observe of all
+/// 40,000 leaves, just under the 1 MiB `--max-frame-bytes` default, is
+/// acked by its worker rather than parked behind a hop it never clears.
+#[test]
+fn an_observe_near_the_line_cap_reaches_its_worker() {
+    let spool = temp_spool("wide-line");
+    let daemon = spawn(&spool, 1);
+    let mut client = Client::connect(&daemon.addr);
+    ok(client.request(&wide_schema_line()));
+    let line = wide_observe_line(40_000, None);
+    assert!((1_000_000..1 << 20).contains(&line.len()), "{}", line.len());
+    let reply = ok(client.request(&line));
+    assert_eq!(reply.get("queued").and_then(Json::as_bool), Some(true));
+    assert_eq!(reply.get("parked"), None, "{reply}");
+    // a one-leaf observe after it is not held behind it either
+    let reply = ok(client.request(&wide_observe_line(1, None)));
+    assert_eq!(reply.get("parked"), None, "{reply}");
+    let reply = ok(client.request(r#"{"type":"flush"}"#));
+    assert_eq!(reply.get("flushed").and_then(Json::as_bool), Some(true));
+    let stats = client.request(r#"{"type":"stats"}"#);
+    let router = stats.get("router").expect("router stats");
+    assert_eq!(stat(router, "frames_forwarded"), 3, "{stats}");
+    assert_eq!(stat(router, "parked_total"), 0, "{stats}");
+    let worker = worker_zero(&stats, "stats");
+    assert_accounting(worker);
+    assert_eq!(stat(worker, "frames_ingested"), 2, "{worker}");
+    drop(daemon);
+    let _ = std::fs::remove_dir_all(&spool);
+}
+
+/// A worker's reply is bounded by what it holds, not by what a client may
+/// send: two quarantined observes of 562 kB each, kept with their rows,
+/// make a `quarantine` reply over 1 MiB that still reaches the client.
+#[test]
+fn a_worker_reply_larger_than_any_request_reaches_the_client() {
+    let spool = temp_spool("wide-reply");
+    let daemon = spawn(&spool, 1);
+    let mut client = Client::connect(&daemon.addr);
+    ok(client.request(&wide_schema_line()));
+    let lines: Vec<String> = (0..2).map(|i| wide_observe_line(22_500, Some(i))).collect();
+    for line in &lines {
+        let reply = ok(client.request(line));
+        assert_eq!(reply.get("quarantined").and_then(Json::as_bool), Some(true));
+    }
+    let reply = client.request(r#"{"type":"quarantine","limit":2}"#);
+    let records = worker_zero(&reply, "reply")
+        .get("records")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| panic!("worker 0 sent no records: {reply}"));
+    assert_eq!(records.len(), 2);
+    // newest first, each with the rows as sent
+    for (record, line) in records.iter().zip(lines.iter().rev()) {
+        assert_eq!(
+            record.get("reason").and_then(Json::as_str),
+            Some("non_finite")
+        );
+        let sent = parse(line).expect("observe line");
+        assert!(record.get("rows") == sent.get("rows"), "rows differ");
+    }
+    drop(daemon);
     let _ = std::fs::remove_dir_all(&spool);
 }
 

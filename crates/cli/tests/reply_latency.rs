@@ -21,10 +21,24 @@ use service::proto;
 
 const ROUND_TRIPS: usize = 50;
 
+/// One rapd process (router or single daemon) plus its ingest address,
+/// killed if a failed assertion drops it first.
+struct Daemon {
+    child: Child,
+    addr: String,
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Spawn `rapminer serve` (single daemon when `workers == 0`, router +
-/// worker fleet otherwise) on `spool` and return it with its ingest
-/// address once the listener is announced.
-fn spawn(spool: &Path, workers: usize) -> (Child, String) {
+/// worker fleet otherwise) on `spool` and return it once the listener is
+/// announced.
+fn spawn(spool: &Path, workers: usize) -> Daemon {
     let mut child = Command::new(env!("CARGO_BIN_EXE_rapminer"))
         .args([
             "serve",
@@ -63,7 +77,7 @@ fn spawn(spool: &Path, workers: usize) -> (Child, String) {
             sink.clear();
         }
     });
-    (child, addr)
+    Daemon { child, addr }
 }
 
 fn request(writer: &mut TcpStream, reader: &mut BufReader<TcpStream>, line: &str) -> Json {
@@ -81,11 +95,11 @@ fn time_stats_round_trips(workers: usize) -> Duration {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&spool);
-    let (mut child, addr) = spawn(&spool, workers);
-    let mut writer = TcpStream::connect(&addr).expect("connect to rapd");
+    let mut daemon = spawn(&spool, workers);
+    let mut writer = TcpStream::connect(&daemon.addr).expect("connect to rapd");
     proto::setup_stream(&writer, Some(Duration::from_secs(30))).expect("socket options");
     let mut reader = BufReader::new(writer.try_clone().expect("clone stream"));
-    // the first request may wait for a fleet worker's handshake
+    // the first request may wait for a fleet worker's connect
     request(&mut writer, &mut reader, r#"{"type":"stats"}"#);
 
     let started = Instant::now();
@@ -96,7 +110,7 @@ fn time_stats_round_trips(workers: usize) -> Duration {
     let elapsed = started.elapsed();
 
     request(&mut writer, &mut reader, r#"{"type":"shutdown"}"#);
-    let status = child.wait().expect("wait for rapd");
+    let status = daemon.child.wait().expect("wait for rapd");
     assert!(status.success(), "rapd drain exited with {status}");
     let _ = std::fs::remove_dir_all(&spool);
     elapsed
@@ -143,19 +157,20 @@ fn closed_connections_release_their_memory() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&spool);
-        let (mut child, addr) = spawn(&spool, workers);
+        let mut daemon = spawn(&spool, workers);
+        let addr = daemon.addr.clone();
         // one connection first, so the baseline already holds whatever a
         // first connection maps once (a fleet's worker link, allocator
         // arenas, the first cached thread stack)
         one_shot(&addr, r#"{"type":"stats"}"#);
-        let before = mappings(child.id());
+        let before = mappings(daemon.child.id());
         for _ in 0..CONNECTIONS {
             let reply = one_shot(&addr, r#"{"type":"stats"}"#);
             assert_eq!(reply.get("type").and_then(Json::as_str), Some("stats"));
         }
-        let after = mappings(child.id());
+        let after = mappings(daemon.child.id());
         one_shot(&addr, r#"{"type":"shutdown"}"#);
-        let status = child.wait().expect("wait for rapd");
+        let status = daemon.child.wait().expect("wait for rapd");
         assert!(status.success(), "rapd drain exited with {status}");
         let _ = std::fs::remove_dir_all(&spool);
         assert!(

@@ -1034,30 +1034,49 @@ impl Drop for Listener {
 // workers.
 //
 // The public NDJSON protocol stays line-oriented; the router↔worker hop
-// instead uses `u32` big-endian length-prefixed JSON frames so a frame
-// boundary survives any payload bytes and a torn connection is detected
-// as a short read, never a silently merged line. Every connection opens
-// with a version handshake:
+// instead uses `u32` big-endian length-prefixed frames so a frame boundary
+// survives any payload bytes and a torn connection is detected as a short
+// read, never a silently merged line. A connection carries requests from
+// its first frame: the router and its workers are one executable, and the
+// supervisor refuses a worker whose announce line names another
+// `WIRE_VERSION`. Each request frame is an envelope, a header line and then
+// the request line byte for byte:
 //
-//   router → worker   {"type":"hello","wire":1}
-//   worker → router   {"type":"hello","wire":1,"worker":0,"max_seq":417}
+//   42 29 edge-0000002a-1754700000123\n{"type":"observe",...}
+//   \n{"type":"flush"}
 //
-// A worker that does not speak the requested version replies with a
-// `{"type":"error",...}` frame and closes. After the handshake, each
-// request frame is an envelope around one NDJSON request line:
-//
-//   {"line":"{\"type\":\"observe\",...}","frame":"edge-0000002a-...","seq":42}
-//
-// `frame`/`seq` ride only on observes: the router mints the correlation
+// An observe's header is its sequence, its token's length in bytes, and
+// the token, raw (a tenant name may hold a newline or any other byte, so
+// the length, not a delimiter, ends the token): the router mints the
 // token, the worker adopts it, and the (tenant, seq) pair is the worker's
-// redelivery-dedup key. The reply frame is the raw NDJSON reply line.
+// redelivery-dedup key. Every other request has an empty header. The reply
+// frame is the raw NDJSON reply line.
 // ---------------------------------------------------------------------------
 
-/// The wire-protocol version this build speaks.
-pub const WIRE_VERSION: u64 = 1;
+/// The wire-protocol version this build speaks; a worker announces it.
+pub const WIRE_VERSION: u64 = 2;
 
-/// The oldest wire-protocol version this build still accepts.
-pub const WIRE_MIN_VERSION: u64 = 1;
+/// The largest request envelope a router taking lines of up to
+/// `max_frame_bytes` builds, which a worker reads requests under.
+///
+/// An observe's envelope is its line plus a header of two numbers and a
+/// token embedding the tenant name, which the line spells out in at least
+/// as many bytes. An `import` line renders a schema the router read from
+/// a client line, and the JSON string writer spends at most six bytes for
+/// each one the client sent (`\u0001` for a raw control byte, which the
+/// reader accepts). So six lines' worth and the fixed fields cover every
+/// envelope. An NDJSON line sent to a worker port by mistake fails its
+/// first read: `{"ty` announces a frame of about 2 GB, over the bound for
+/// any line cap under 340 MB.
+pub(crate) fn wire_request_bound(max_frame_bytes: usize) -> usize {
+    max_frame_bytes.saturating_mul(6).saturating_add(256)
+}
+
+/// The bound a router reads worker replies under: only the frame header's
+/// `u32` length. A worker is the router's own child on loopback, and a
+/// `quarantine` or `debug` reply grows with the ring and the tenant count,
+/// not with any request.
+pub(crate) const WIRE_REPLY_BOUND: usize = u32::MAX as usize;
 
 /// Write one length-prefixed frame (`u32` big-endian length + payload)
 /// with a single `write_all`.
@@ -1168,59 +1187,6 @@ pub fn read_wire_frame(
     Ok(WireRead::Frame(payload))
 }
 
-/// The router's opening handshake frame.
-pub fn hello_frame() -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("hello")),
-        ("wire".to_string(), Json::Num(WIRE_VERSION as f64)),
-    ])
-    .render()
-}
-
-/// A worker's handshake reply: the negotiated version, its index, and the
-/// highest frame sequence its recovery saw (the router advances its mint
-/// counter past it so new tokens never collide with replayed ones).
-pub fn hello_ack_frame(wire: u64, worker: usize, max_seq: u64) -> String {
-    Json::Obj(vec![
-        ("type".to_string(), Json::str("hello")),
-        ("wire".to_string(), Json::Num(wire as f64)),
-        ("worker".to_string(), Json::Num(worker as f64)),
-        ("max_seq".to_string(), Json::Num(max_seq as f64)),
-    ])
-    .render()
-}
-
-/// Validate a peer's hello and negotiate the version to speak.
-///
-/// # Errors
-///
-/// A rendered `{"type":"error",...}` reply line when the frame is not a
-/// hello or the version is outside `[WIRE_MIN_VERSION, WIRE_VERSION]`.
-pub fn negotiate_hello(payload: &str) -> Result<u64, String> {
-    let error = |reason: String| {
-        Json::Obj(vec![
-            ("type".to_string(), Json::str("error")),
-            ("reason".to_string(), Json::str(reason)),
-        ])
-        .render()
-    };
-    let doc = parse(payload).map_err(|e| error(format!("malformed hello: {e}")))?;
-    if doc.get("type").and_then(Json::as_str) != Some("hello") {
-        return Err(error("expected a hello frame".to_string()));
-    }
-    let Some(wire) = doc.get("wire").and_then(Json::as_u64) else {
-        return Err(error(
-            "hello frame needs a numeric 'wire' field".to_string(),
-        ));
-    };
-    if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&wire) {
-        return Err(error(format!(
-            "unsupported wire version {wire} (this build speaks {WIRE_MIN_VERSION}..={WIRE_VERSION})"
-        )));
-    }
-    Ok(wire)
-}
-
 /// One request envelope on the router→worker hop.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireEnvelope {
@@ -1232,14 +1198,15 @@ pub struct WireEnvelope {
 }
 
 impl WireEnvelope {
-    /// Render the envelope to its wire JSON.
+    /// Render the envelope: its header, then the line as it is.
     pub fn render(&self) -> String {
-        let mut pairs = vec![("line".to_string(), Json::str(&self.line))];
-        if let Some((token, seq)) = &self.frame {
-            pairs.push(("frame".to_string(), Json::str(token)));
-            pairs.push(("seq".to_string(), Json::Num(*seq as f64)));
-        }
-        Json::Obj(pairs).render()
+        let mut out = match &self.frame {
+            Some((token, seq)) => format!("{seq} {} {token}\n", token.len()),
+            None => "\n".to_string(),
+        };
+        out.reserve_exact(self.line.len());
+        out.push_str(&self.line);
+        out
     }
 
     /// Parse one envelope payload.
@@ -1248,22 +1215,24 @@ impl WireEnvelope {
     ///
     /// A human-readable reason when the payload is not an envelope.
     pub fn parse(payload: &str) -> Result<WireEnvelope, String> {
-        let doc = parse(payload).map_err(|e| format!("malformed envelope: {e}"))?;
-        let line = doc
-            .get("line")
-            .and_then(Json::as_str)
-            .ok_or("envelope needs a string 'line' field")?
-            .to_string();
-        let frame = match (doc.get("frame"), doc.get("seq")) {
-            (Some(token), Some(seq)) => {
-                let token = token.as_str().ok_or("envelope 'frame' must be a string")?;
-                let seq = seq.as_u64().ok_or("envelope 'seq' must be an integer")?;
-                Some((token.to_string(), seq))
-            }
-            (None, None) => None,
-            _ => return Err("envelope 'frame' and 'seq' must travel together".to_string()),
+        if let Some(line) = payload.strip_prefix('\n') {
+            return Ok(WireEnvelope {
+                line: line.to_string(),
+                frame: None,
+            });
+        }
+        let tagged = || {
+            let (seq, rest) = payload.split_once(' ')?;
+            let (len, rest) = rest.split_once(' ')?;
+            let len: usize = len.parse().ok()?;
+            let line = rest.get(len..)?.strip_prefix('\n')?;
+            Some((seq.parse().ok()?, rest.get(..len)?, line))
         };
-        Ok(WireEnvelope { line, frame })
+        let (seq, token, line) = tagged().ok_or("malformed envelope header")?;
+        Ok(WireEnvelope {
+            line: line.to_string(),
+            frame: Some((token.to_string(), seq)),
+        })
     }
 }
 
@@ -1617,30 +1586,78 @@ mod tests {
     }
 
     #[test]
-    fn hello_negotiation_accepts_current_and_rejects_future_versions() {
-        let wire = negotiate_hello(&hello_frame()).unwrap();
-        assert_eq!(wire, WIRE_VERSION);
-        let future = r#"{"type":"hello","wire":99}"#;
-        let reply = negotiate_hello(future).unwrap_err();
-        assert!(reply.contains("unsupported wire version 99"), "{reply}");
-        assert!(reply.contains(r#""type":"error""#), "{reply}");
-        assert!(negotiate_hello(r#"{"type":"stats"}"#).is_err());
-        assert!(negotiate_hello("not json").is_err());
-    }
-
-    #[test]
     fn wire_envelopes_round_trip() {
         let bare = WireEnvelope {
             line: r#"{"type":"stats"}"#.to_string(),
             frame: None,
         };
         assert_eq!(WireEnvelope::parse(&bare.render()).unwrap(), bare);
-        let tagged = WireEnvelope {
-            line: r#"{"type":"observe","tenant":"t","rows":[]}"#.to_string(),
-            frame: Some(("t-0000002a-123".to_string(), 42)),
+        // a token embeds the raw tenant name, and a line may hold any escape
+        let every_escape =
+            r#"{"type":"observe","tenant":"q\"\\\/\b\f\n\r\tz\u00e9\ud83d\ude00","rows":[]}"#;
+        for token in [
+            "t-0000002a-123",
+            "edge eu 1-00000001-0",
+            "a\nb-1-2",
+            "\"q\"\t\\-00000001-0",
+            "é日本-7-8",
+            "",
+        ] {
+            for (line, seq) in [(every_escape, 42), ("", 0), ("\n 1 2 x\n", u64::MAX)] {
+                let tagged = WireEnvelope {
+                    line: line.to_string(),
+                    frame: Some((token.to_string(), seq)),
+                };
+                // the header, then the line byte for byte
+                let rendered = tagged.render();
+                assert_eq!(rendered, format!("{seq} {} {token}\n{line}", token.len()));
+                assert_eq!(WireEnvelope::parse(&rendered).unwrap(), tagged);
+            }
+        }
+        for garbage in [
+            r#"{"nope":1}"#,
+            "1 5 abc\n{}",
+            "x 1 a\n",
+            "1 1 \u{e9}\n",
+            "1 99 a\n",
+        ] {
+            assert!(WireEnvelope::parse(garbage).is_err(), "{garbage:?}");
+        }
+        // the largest observe a client may send, its tenant name filling
+        // the line: the envelope carries the name twice and must still fit
+        let max = 1 << 20;
+        let shell = r#"{"type":"observe","tenant":"","rows":[]}"#;
+        let tenant = "t".repeat(max - shell.len());
+        let line = format!(r#"{{"type":"observe","tenant":"{tenant}","rows":[]}}"#);
+        assert_eq!(line.len(), max);
+        assert!(parse_request(&line, max).is_ok());
+        // the longest token `obs::FrameId::mint` writes for that tenant
+        let token = format!("{tenant}-{:08x}-{}", u64::MAX, u64::MAX);
+        let longest = WireEnvelope {
+            line,
+            frame: Some((token, u64::MAX)),
         };
-        assert_eq!(WireEnvelope::parse(&tagged.render()).unwrap(), tagged);
-        assert!(WireEnvelope::parse(r#"{"frame":"x","seq":1}"#).is_err());
-        assert!(WireEnvelope::parse(r#"{"line":"{}","frame":"x"}"#).is_err());
+        assert!(longest.render().len() <= wire_request_bound(max));
+        // the import of a schema whose names are raw control bytes, which
+        // the JSON writer spells `\u0001`: six bytes for each one sent
+        let names = || "\u{1}".repeat((max - 80) / 2);
+        let schema = format!(
+            r#"{{"type":"schema","tenant":"{}","attributes":[["{}",["e"]]]}}"#,
+            names(),
+            names()
+        );
+        assert!(schema.len() <= max);
+        let Ok(Request::Schema { tenant, attributes }) = parse_request(&schema, max) else {
+            panic!("a legal schema line");
+        };
+        let import = WireEnvelope {
+            line: import_line(&tenant, usize::MAX, Some(&attributes)),
+            frame: None,
+        };
+        assert!(import.render().len() <= wire_request_bound(max));
+        assert!(
+            import.render().len() > 5 * max,
+            "the import case is the largest"
+        );
     }
 }

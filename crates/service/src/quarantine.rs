@@ -286,6 +286,34 @@ mod tests {
     }
 
     #[test]
+    fn tenant_names_too_long_for_a_file_name_get_distinct_stems_that_fit() {
+        let long = "t".repeat(300);
+        let stems = [
+            sanitize_tenant(&long),
+            sanitize_tenant(&format!("{}u", &long[1..])),
+            sanitize_tenant(&"t.".repeat(150)),
+        ];
+        for stem in &stems {
+            // `.jsonl.tmp` is the longest suffix a stem gets
+            assert!(stem.len() + ".jsonl.tmp".len() <= 255, "{stem}");
+            assert_eq!(sanitize_tenant(stem), *stem);
+        }
+        // the first two differ only past the cut
+        assert_ne!(stems[0], stems[1]);
+        // names that fit keep the stems they always had
+        assert_eq!(sanitize_tenant(&long[..245]), &long[..245]);
+        let lossy = "t.".repeat(118);
+        assert_eq!(
+            sanitize_tenant(&lossy),
+            format!(
+                "{}-{:08x}",
+                "t_".repeat(118),
+                crate::segment::crc32(lossy.as_bytes())
+            )
+        );
+    }
+
+    #[test]
     fn oversized_tenant_spool_rotates_per_tenant() {
         let dir = scratch("rotate");
         let m = metrics();

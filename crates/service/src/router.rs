@@ -8,12 +8,13 @@
 //!   ring (64 virtual nodes per worker, FNV-1a), overridable per tenant
 //!   by the `handoff` verb. All frames of a tenant land on one worker,
 //!   so per-tenant ordering and checkpoint locality are preserved.
-//! * **Wire protocol.** Router→worker hops speak the versioned
-//!   length-prefixed frame protocol of [`crate::proto`] (`hello`
-//!   handshake with version negotiation, then enveloped request lines).
-//!   Observe envelopes carry the router-minted [`obs::FrameId`] token
-//!   and sequence; workers adopt the token and deduplicate redelivery
-//!   by sequence, which is what makes crash redelivery exactly-once.
+//! * **Wire protocol.** Router→worker hops speak the length-prefixed
+//!   frame protocol of [`crate::proto`]: each request is the client's
+//!   line as it arrived behind a short header, and the supervisor checks
+//!   each worker's wire version once, in its announce line. Observe
+//!   envelopes carry the router-minted [`obs::FrameId`] token and
+//!   sequence; workers adopt the token and deduplicate redelivery by
+//!   sequence, which is what makes crash redelivery exactly-once.
 //! * **Parking.** When a worker is down (its babysitter is respawning
 //!   it) or a request errors, observe/schema frames *park* in a bounded
 //!   per-worker queue and the client gets an explicit
@@ -51,8 +52,7 @@ use crate::http::MetricsServer;
 use crate::json::{parse, Json};
 use crate::metrics::RouterMetrics;
 use crate::proto::{
-    self, error_reply, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_MIN_VERSION,
-    WIRE_VERSION,
+    self, error_reply, Listener, Request, WireEnvelope, WireRead, READ_POLL, WIRE_REPLY_BOUND,
 };
 use crate::retry::Backoff;
 use crate::server::DrainGate;
@@ -139,15 +139,8 @@ impl Drop for RouterHandle {
     }
 }
 
-/// One frame acknowledged as parked, waiting for its worker to return.
-#[derive(Clone)]
-struct ParkedFrame {
-    line: String,
-    frame: Option<(String, u64)>,
-}
-
 /// A live router→worker connection, tagged with the worker generation it
-/// was handshaken against — a socket to a dead generation is discarded.
+/// was opened to — a socket to a dead generation is discarded.
 struct LinkConn {
     stream: TcpStream,
     generation: u64,
@@ -156,7 +149,8 @@ struct LinkConn {
 /// Per-worker connection state and park buffer.
 struct WorkerLink {
     conn: Mutex<Option<LinkConn>>,
-    parked: Mutex<VecDeque<ParkedFrame>>,
+    /// Frames acknowledged as parked, waiting for the worker to return.
+    parked: Mutex<VecDeque<WireEnvelope>>,
 }
 
 struct Router {
@@ -329,7 +323,7 @@ impl Router {
     /// One strict request/reply against a worker over the framed wire
     /// protocol, with a hard deadline: `line` in an envelope, with the
     /// router-minted token and sequence of an observe. Any failure drops
-    /// the cached connection so the next request re-handshakes.
+    /// the cached connection so the next request reconnects.
     fn request_worker(
         &self,
         worker: usize,
@@ -357,7 +351,7 @@ impl Router {
             let Some(addr) = snapshot.addr else {
                 return Err(format!("worker {worker} has not announced an address"));
             };
-            let stream = connect_handshake(&addr, worker, until, &self.shutdown)?;
+            let stream = connect(&addr, worker, until, &self.shutdown)?;
             *conn_slot = Some(LinkConn {
                 stream,
                 generation: snapshot.generation,
@@ -366,8 +360,7 @@ impl Router {
         let Some(conn) = conn_slot.as_mut() else {
             return Err(format!("worker {worker} has no connection"));
         };
-        let max = self.config.max_frame_bytes.saturating_add(4096);
-        match wire_call(&mut conn.stream, &payload, max, until, &self.shutdown) {
+        match wire_call(&mut conn.stream, &payload, until, &self.shutdown) {
             Ok(reply) => Ok(reply),
             Err(e) => {
                 *conn_slot = None;
@@ -421,7 +414,7 @@ impl Router {
             ]),
         }
         .render();
-        parked.push_back(ParkedFrame { line, frame });
+        parked.push_back(WireEnvelope { line, frame });
         self.metrics.parked_total.fetch_add(1, Ordering::Relaxed);
         self.metrics.parked_frames.fetch_add(1, Ordering::Relaxed);
         reply
@@ -491,12 +484,12 @@ impl Router {
 
 type RequestResult<T = String> = Result<T, String>;
 
-/// Connect to a worker and complete the hello handshake, under a capped
-/// jittered backoff bounded by the request deadline. A refused connect
-/// fails at once: the worker's listener is gone, so the caller parks the
-/// frame instead of holding the worker's lane until the deadline, and the
-/// pump redelivers it once the replacement worker announces itself.
-fn connect_handshake(
+/// Connect to a worker under a capped jittered backoff bounded by the
+/// request deadline. A refused connect fails at once: the worker's
+/// listener is gone, so the caller parks the frame instead of holding the
+/// worker's lane until the deadline, and the pump redelivers it once the
+/// replacement worker announces itself.
+fn connect(
     addr: &str,
     worker: usize,
     until: Instant,
@@ -523,24 +516,6 @@ fn connect_handshake(
         }
     };
     proto::setup_stream(&stream, Some(READ_POLL)).map_err(|e| e.to_string())?;
-    let mut stream = stream;
-    let max = 64 * 1024;
-    let ack = wire_call(&mut stream, &proto::hello_frame(), max, until, shutdown)?;
-    let doc = parse(&ack).map_err(|e| format!("worker {worker} sent a bad hello ack: {e}"))?;
-    if doc.get("type").and_then(Json::as_str) != Some("hello") {
-        return Err(format!("worker {worker} rejected the handshake: {ack}"));
-    }
-    let wire = doc.get("wire").and_then(Json::as_u64).unwrap_or(0);
-    if !(WIRE_MIN_VERSION..=WIRE_VERSION).contains(&wire) {
-        return Err(format!(
-            "worker {worker} negotiated unsupported wire version {wire}"
-        ));
-    }
-    if let Some(max_seq) = doc.get("max_seq").and_then(Json::as_u64) {
-        // keep router-minted sequences ahead of anything the worker
-        // recovered from its spool
-        obs::FrameId::advance_past(max_seq);
-    }
     Ok(stream)
 }
 
@@ -548,13 +523,12 @@ fn connect_handshake(
 fn wire_call(
     stream: &mut TcpStream,
     payload: &str,
-    max: usize,
     until: Instant,
     shutdown: &AtomicBool,
 ) -> RequestResult {
     proto::write_wire_frame(stream, payload.as_bytes()).map_err(|e| format!("send: {e}"))?;
     let keep_waiting = || Instant::now() < until && !shutdown.load(Ordering::SeqCst);
-    match proto::read_wire_frame(stream, max, keep_waiting) {
+    match proto::read_wire_frame(stream, WIRE_REPLY_BOUND, keep_waiting) {
         Ok(WireRead::Frame(bytes)) => {
             String::from_utf8(bytes).map_err(|_| "worker reply was not UTF-8".to_string())
         }
@@ -999,7 +973,7 @@ mod tests {
             .to_string();
         // the listener is dropped, so connecting to its port is refused
         let start = Instant::now();
-        let result = connect_handshake(
+        let result = connect(
             &addr,
             0,
             start + Duration::from_secs(5),

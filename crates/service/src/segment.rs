@@ -137,19 +137,26 @@ pub struct SpoolRecovery {
     pub truncated_bytes: u64,
 }
 
+/// The longest file stem a tenant gets: a file name holds at most 255
+/// bytes, and the longest suffix put after a stem is `.jsonl.tmp` (a
+/// repaired segment's temp file; `.json.prev` is as long, `.jsonl.1` and
+/// `.json.tmp` shorter).
+const MAX_STEM: usize = 255 - ".jsonl.tmp".len();
+
 /// Map a tenant id onto a safe, collision-free file stem: anything
 /// outside `[A-Za-z0-9_-]` becomes `_`, so a hostile tenant string
 /// cannot escape its log directory, and any name that needed replacement
 /// carries a CRC32 suffix of its raw bytes so two distinct tenants
 /// (`a.b`, `a:b`) can never collapse onto one stem — the WAL and
 /// checkpoint store key files by stem, so a shared stem would
-/// cross-corrupt their journals and snapshots. Already-safe names keep
-/// their exact stem (and their existing on-disk files); sanitizing is
-/// idempotent either way, since a hashed stem is itself all safe
-/// characters.
+/// cross-corrupt their journals and snapshots. A name too long for a
+/// file name is cut to fit [`MAX_STEM`] with the same suffix. Already-safe
+/// names that fit keep their exact stem (and their existing on-disk
+/// files); sanitizing is idempotent either way, since a hashed stem is
+/// itself all safe characters and fits.
 pub(crate) fn sanitize_tenant(tenant: &str) -> String {
-    let mut lossy = tenant.is_empty();
-    let stem: String = tenant
+    let mut lossy = tenant.is_empty() || tenant.len() > MAX_STEM;
+    let mut stem: String = tenant
         .chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
@@ -163,11 +170,11 @@ pub(crate) fn sanitize_tenant(tenant: &str) -> String {
     if !lossy {
         return stem;
     }
-    let stem = if stem.is_empty() {
-        "_".to_string()
-    } else {
-        stem
-    };
+    if stem.is_empty() {
+        stem.push('_');
+    }
+    // all ASCII, so any cut is on a character boundary
+    stem.truncate(MAX_STEM - "-00000000".len());
     format!("{stem}-{:08x}", crc32(tenant.as_bytes()))
 }
 

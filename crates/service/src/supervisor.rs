@@ -8,11 +8,14 @@
 //!
 //! * spawns each worker with piped stdout and waits for its one-line
 //!   announce (`rapd-worker <i> listening on <addr> wire <v> seq <max>`),
-//!   which carries the bound address and the recovered frame-sequence
-//!   watermark;
+//!   which carries the bound address, the wire version and the recovered
+//!   frame-sequence watermark;
+//! * kills a worker whose announce names a wire version other than
+//!   `proto::WIRE_VERSION` (a binary replaced on disk between spawns):
+//!   at start the router then refuses to serve, and a respawn retries;
 //! * advances the router's [`obs::FrameId`] mint counter past every
-//!   announced watermark, so router-minted tokens never collide with
-//!   tokens a worker's spool already holds;
+//!   announced watermark before the slot is marked up, so router-minted
+//!   tokens never collide with tokens a worker's spool already holds;
 //! * babysits each slot with a poll thread: a worker that exits outside
 //!   shutdown is logged, its slot marked down (the router parks frames
 //!   for it), and respawned under a capped, jittered backoff
@@ -34,6 +37,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::metrics::RouterMetrics;
+use crate::proto::WIRE_VERSION;
 use crate::retry::Backoff;
 use crate::sync::lock_recover;
 
@@ -76,8 +80,6 @@ pub struct SlotSnapshot {
     pub generation: u64,
     /// Times this slot was respawned after dying.
     pub respawns: u64,
-    /// The sequence watermark the current process announced at boot.
-    pub max_seq: u64,
 }
 
 struct SlotState {
@@ -85,7 +87,6 @@ struct SlotState {
     addr: Option<String>,
     generation: u64,
     respawns: u64,
-    max_seq: u64,
     child: Option<Child>,
 }
 
@@ -125,7 +126,6 @@ impl Supervisor {
                         addr: None,
                         generation: 0,
                         respawns: 0,
-                        max_seq: 0,
                         child: None,
                     }),
                 })
@@ -164,7 +164,6 @@ impl Supervisor {
             pid: state.child.as_ref().map(Child::id),
             generation: state.generation,
             respawns: state.respawns,
-            max_seq: state.max_seq,
         }
     }
 
@@ -236,7 +235,6 @@ fn install_spawn(supervisor: &Supervisor, slot: &Slot, spawned: Spawned) {
     state.up = true;
     state.addr = Some(spawned.addr);
     state.generation += 1;
-    state.max_seq = spawned.max_seq;
     state.child = Some(spawned.child);
     supervisor
         .metrics
@@ -245,7 +243,8 @@ fn install_spawn(supervisor: &Supervisor, slot: &Slot, spawned: Spawned) {
         .store(1, Ordering::Relaxed);
 }
 
-/// Spawn one worker process and wait for its announce line.
+/// Spawn one worker process and wait for its announce line; kill it if
+/// the line names another wire version.
 fn spawn_worker(command: &WorkerCommand, index: usize) -> std::io::Result<Spawned> {
     let spool = command.slot_spool(index);
     let mut child = Command::new(&command.exe)
@@ -272,7 +271,7 @@ fn spawn_worker(command: &WorkerCommand, index: usize) -> std::io::Result<Spawne
         return Err(std::io::Error::other("worker stdout was not piped"));
     };
     let mut reader = BufReader::new(stdout);
-    let announce = loop {
+    let (addr, wire, max_seq) = loop {
         let mut line = String::new();
         // blocks until the worker boots (spool recovery can take a
         // moment); a worker that dies before announcing closes the pipe
@@ -288,6 +287,13 @@ fn spawn_worker(command: &WorkerCommand, index: usize) -> std::io::Result<Spawne
         }
         // tolerate stray pre-announce output (e.g. harness banners)
     };
+    if wire != WIRE_VERSION {
+        let _ = child.kill();
+        let _ = child.wait();
+        return Err(std::io::Error::other(format!(
+            "worker {index} announced wire version {wire}, but this router speaks {WIRE_VERSION}"
+        )));
+    }
     // keep the pipe drained so the worker can never block on stdout
     std::thread::Builder::new()
         .name(format!("rapd-worker-{index}-stdout"))
@@ -303,28 +309,33 @@ fn spawn_worker(command: &WorkerCommand, index: usize) -> std::io::Result<Spawne
         "worker_announced",
         &[
             ("worker", obs::Value::U64(index as u64)),
-            ("addr", obs::Value::Str(announce.0.clone())),
-            ("max_seq", obs::Value::U64(announce.1)),
+            ("addr", obs::Value::Str(addr.clone())),
+            ("max_seq", obs::Value::U64(max_seq)),
         ],
     );
     Ok(Spawned {
         child,
-        addr: announce.0,
-        max_seq: announce.1,
+        addr,
+        max_seq,
     })
 }
 
-/// Parse `rapd-worker <i> listening on <addr> wire <v> seq <max>`;
-/// `None` for any other line (skipped, not fatal).
-fn parse_announce(line: &str, index: usize) -> Option<(String, u64)> {
+/// Parse `rapd-worker <i> listening on <addr> wire <v> seq <max>` into
+/// its address, wire version and watermark; `None` for any other line
+/// (skipped, not fatal).
+fn parse_announce(line: &str, index: usize) -> Option<(String, u64, u64)> {
     let rest = line.strip_prefix("rapd-worker ")?;
     let (announced_index, rest) = rest.split_once(" listening on ")?;
     if announced_index.trim().parse::<usize>().ok()? != index {
         return None;
     }
     let (addr, rest) = rest.split_once(" wire ")?;
-    let (_wire, max_seq) = rest.split_once(" seq ")?;
-    Some((addr.trim().to_string(), max_seq.trim().parse().ok()?))
+    let (wire, max_seq) = rest.split_once(" seq ")?;
+    Some((
+        addr.trim().to_string(),
+        wire.trim().parse().ok()?,
+        max_seq.trim().parse().ok()?,
+    ))
 }
 
 /// One slot's babysitter: poll the child, and respawn it (under backoff)
@@ -410,7 +421,7 @@ mod tests {
                 "rapd-worker 2 listening on 127.0.0.1:45123 wire 1 seq 417",
                 2
             ),
-            Some(("127.0.0.1:45123".to_string(), 417))
+            Some(("127.0.0.1:45123".to_string(), 1, 417))
         );
         // index mismatch: a slot must not adopt another slot's announce
         assert_eq!(
@@ -422,6 +433,58 @@ mod tests {
             parse_announce("rapd-worker 0 listening on addr wire 1 seq nope", 0),
             None
         );
+        assert_eq!(
+            parse_announce("rapd-worker 0 listening on addr wire two seq 0", 0),
+            None
+        );
+    }
+
+    /// A worker command running `sh` in place of the binary: it records its
+    /// pid, announces `wire`, and sleeps. `sh -c` takes the per-slot flags
+    /// the supervisor appends as positional parameters and ignores them.
+    fn fake_worker(dir: &std::path::Path, wire: u64) -> WorkerCommand {
+        let script = format!(
+            "echo $$ > '{}/pid'; \
+             echo 'rapd-worker 0 listening on 127.0.0.1:9 wire {wire} seq 0'; exec sleep 30",
+            dir.display()
+        );
+        WorkerCommand {
+            exe: PathBuf::from("/bin/sh"),
+            args: vec!["-c".to_string(), script],
+            spool_root: dir.to_path_buf(),
+        }
+    }
+
+    #[test]
+    fn a_worker_announcing_another_wire_version_is_refused_at_spawn() {
+        let dir = std::env::temp_dir().join(format!("rapd-supervisor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics = || Arc::new(RouterMetrics::new(1));
+        let err = match Supervisor::start(fake_worker(&dir, 99), 1, metrics()) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("a worker announcing wire 99 must be refused"),
+        };
+        assert!(err.contains("wire version 99"), "{err}");
+        assert!(err.contains(&format!("speaks {WIRE_VERSION}")), "{err}");
+        // the refused worker was killed, not left sleeping
+        let pid = std::fs::read_to_string(dir.join("pid")).unwrap();
+        let proc_dir = PathBuf::from(format!("/proc/{}", pid.trim()));
+        let until = Instant::now() + Duration::from_secs(5);
+        while proc_dir.exists() && Instant::now() < until {
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        assert!(!proc_dir.exists(), "worker {} still running", pid.trim());
+
+        let supervisor = Supervisor::start(fake_worker(&dir, WIRE_VERSION), 1, metrics()).unwrap();
+        let slot = supervisor.snapshot(0);
+        assert!(slot.up, "{slot:?}");
+        assert_eq!(slot.addr.as_deref(), Some("127.0.0.1:9"));
+        assert!(
+            !supervisor.shutdown(Duration::ZERO),
+            "the sleeping fake is killed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! (spools, WAL, checkpoint store, shard pool, crash recovery, metrics
 //! listener) on its own per-worker spool directory, serving the
 //! length-prefixed wire protocol of [`crate::proto`] instead of raw
-//! NDJSON. The router is its only client; every connection starts with a
-//! version handshake and then carries one envelope per request.
+//! NDJSON. The router is its only client; every frame on a connection is
+//! one request envelope, answered by one reply frame.
 //!
 //! Workers are spawned and babysat by the router process (see
 //! the `supervisor` module). On boot a worker prints one announce line to
 //! stdout — `rapd-worker <i> listening on <addr> wire <v> seq <max>` —
 //! which the supervisor parses for the bound address (workers bind port
-//! 0) and the recovered sequence watermark. Everything a worker admits is
+//! 0), the wire version (it refuses a worker that speaks another) and the
+//! recovered sequence watermark. Everything a worker admits is
 //! journaled in its own WAL before the acknowledgment crosses the wire,
 //! so a `kill -9` of the worker loses nothing the router saw acked: the
 //! respawned worker replays its spool, re-announces, and the router
@@ -30,8 +31,8 @@ use std::sync::Arc;
 use crate::config::ServiceConfig;
 use crate::json::Json;
 use crate::proto::{
-    error_reply, hello_ack_frame, negotiate_hello, read_wire_frame, setup_stream, write_wire_frame,
-    ProtoError, WireEnvelope, WireRead, READ_POLL, WIRE_VERSION,
+    error_reply, read_wire_frame, setup_stream, wire_request_bound, write_wire_frame, ProtoError,
+    WireEnvelope, WireRead, READ_POLL, WIRE_VERSION,
 };
 use crate::server::{
     dispatch, drain, import, ok_reply, serve_with, ServerHandle, Shared, StartError,
@@ -52,9 +53,7 @@ pub fn start_worker(
     index: usize,
 ) -> Result<ServerHandle, StartError> {
     let name = format!("rapd-worker-{index}");
-    serve_with(config, factory, &name, move |stream, shared, stop| {
-        serve_connection(stream, shared, stop, index)
-    })
+    serve_with(config, factory, &name, serve_connection)
 }
 
 /// The one-line stdout announce the supervisor parses: the worker index,
@@ -68,8 +67,10 @@ pub fn announce_line(index: usize, worker: &ServerHandle) -> String {
     )
 }
 
-/// Serve one router connection: handshake, then one envelope per frame.
-fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool, index: usize) {
+/// Serve one router connection: one reply frame per envelope. A frame over
+/// the request bound ends the connection, so an NDJSON client that dialed
+/// a worker port by mistake fails at its first line.
+fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool) {
     if setup_stream(&stream, Some(READ_POLL)).is_err() {
         return;
     }
@@ -77,27 +78,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared, stop: &AtomicBool, index
         return;
     };
     let mut reader = stream;
-    let max = shared.config.max_frame_bytes.saturating_add(4096);
+    let max = wire_request_bound(shared.config.max_frame_bytes);
     let keep_waiting = || !stop.load(Ordering::SeqCst);
-
-    // The first frame must be a hello; anything else gets an error frame
-    // and a close, so a misdirected NDJSON client fails fast and loudly.
-    let hello = match read_wire_frame(&mut reader, max, keep_waiting) {
-        Ok(WireRead::Frame(payload)) => payload,
-        _ => return,
-    };
-    let wire = match negotiate_hello(&String::from_utf8_lossy(&hello)) {
-        Ok(wire) => wire,
-        Err(error_reply) => {
-            let _ = write_wire_frame(&mut writer, error_reply.as_bytes());
-            return;
-        }
-    };
-    let ack = hello_ack_frame(wire, index, shared.recovered_max_seq);
-    if write_wire_frame(&mut writer, ack.as_bytes()).is_err() {
-        return;
-    }
-
     loop {
         let payload = match read_wire_frame(&mut reader, max, keep_waiting) {
             Ok(WireRead::Frame(payload)) => payload,
@@ -202,7 +184,6 @@ mod tests {
 
     use super::*;
     use crate::default_factory;
-    use crate::proto::hello_frame;
     use crate::shard::LocalizerFactory;
     use std::sync::atomic::AtomicBool;
 
@@ -235,14 +216,15 @@ mod tests {
     fn worker_speaks_the_framed_protocol_end_to_end() {
         let dir = scratch("e2e");
         let worker = start_worker(worker_config(&dir), default_factory(), 3).unwrap();
-        assert!(announce_line(3, &worker).starts_with("rapd-worker 3 listening on "));
+        let announce = announce_line(3, &worker);
+        assert!(
+            announce.starts_with("rapd-worker 3 listening on "),
+            "{announce}"
+        );
+        assert!(announce.ends_with(" seq 0"), "{announce}");
 
         let mut conn = TcpStream::connect(worker.ingest_addr()).unwrap();
         conn.set_read_timeout(Some(Duration::from_millis(50))).ok();
-        let ack = roundtrip(&mut conn, &hello_frame());
-        assert!(ack.contains("\"worker\":3"), "ack: {ack}");
-        assert!(ack.contains("\"max_seq\":0"), "ack: {ack}");
-
         let schema = WireEnvelope {
             line: r#"{"type":"schema","tenant":"edge","attributes":[["loc",["L1","L2"]]]}"#
                 .to_string(),
@@ -271,6 +253,19 @@ mod tests {
         // garbage envelopes get an error frame, not a dead connection
         let reply = roundtrip(&mut conn, "{\"nope\":1}");
         assert!(reply.contains("\"error\""), "garbage: {reply}");
+        assert!(roundtrip(&mut conn, &schema.render()).contains("\"ok\""));
+
+        // an NDJSON client on the worker port is cut off at its first line
+        let mut stray = TcpStream::connect(worker.ingest_addr()).unwrap();
+        stray.write_all(b"{\"type\":\"stats\"}\n").unwrap();
+        stray.set_read_timeout(Some(Duration::from_secs(5))).ok();
+        let mut rest = Vec::new();
+        // the unread rest of the line makes the close a reset
+        let closed = match stray.read_to_end(&mut rest) {
+            Ok(_) => true,
+            Err(e) => e.kind() == io::ErrorKind::ConnectionReset,
+        };
+        assert!(closed && rest.is_empty(), "closed with no reply: {rest:?}");
 
         worker.shutdown();
         std::fs::remove_dir_all(&dir).ok();
@@ -328,7 +323,6 @@ mod tests {
         // past it, what a final checkpoint that never reached disk leaves
         let source = start_worker(config(&root.join("worker-0")), default_factory(), 0).unwrap();
         let mut src = TcpStream::connect(source.ingest_addr()).unwrap();
-        roundtrip(&mut src, &hello_frame());
         call(&mut src, schema, None);
         for seq in 1..=8 {
             call(&mut src, &observe(100.0), Some(seq));
@@ -352,7 +346,6 @@ mod tests {
             };
             let target = start_worker(config(&dir), factory, 1).unwrap();
             let mut tgt = TcpStream::connect(target.ingest_addr()).unwrap();
-            roundtrip(&mut tgt, &hello_frame());
             // a record of the tenant's own here: live, or quarantined by
             // the panic its collapse frame sets off
             call(&mut tgt, schema, None);
@@ -406,24 +399,5 @@ mod tests {
         assert_eq!((theirs.wal_ack, theirs.frame_seq), (8, 8));
         assert_eq!(ours.engine, theirs.engine);
         std::fs::remove_dir_all(&root).ok();
-    }
-
-    #[test]
-    fn worker_rejects_future_wire_versions() {
-        let dir = scratch("ver");
-        let worker = start_worker(worker_config(&dir), default_factory(), 0).unwrap();
-        let mut conn = TcpStream::connect(worker.ingest_addr()).unwrap();
-        conn.set_read_timeout(Some(Duration::from_millis(50))).ok();
-        let reply = roundtrip(&mut conn, "{\"type\":\"hello\",\"wire\":99}");
-        assert!(reply.contains("unsupported wire version"), "got: {reply}");
-        // the worker closed the connection after the error frame
-        write_wire_frame(&mut conn, b"{\"type\":\"hello\",\"wire\":1}").ok();
-        let dead = matches!(
-            read_wire_frame(&mut conn, 1 << 20, || false),
-            Ok(WireRead::Eof | WireRead::Idle) | Err(_)
-        );
-        assert!(dead, "connection must be closed after a version error");
-        worker.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -9,6 +9,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -446,4 +447,109 @@ fn deep_nesting_and_the_router_only_import_verb_get_error_replies() {
     let reply = client.request(r#"{"type":"stats"}"#);
     assert_eq!(reply.get("protocol_errors").and_then(Json::as_u64), Some(3));
     server.shutdown();
+}
+
+/// Copy a live, flushed spool as a `kill -9` would leave it: every
+/// acknowledged frame is journaled before its reply, so the copy is a
+/// crash image.
+fn copy_spool(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap().flatten() {
+        let (path, target) = (entry.path(), to.join(entry.file_name()));
+        if path.is_dir() {
+            copy_spool(&path, &target);
+        } else {
+            std::fs::copy(&path, &target).unwrap();
+        }
+    }
+}
+
+/// Tenant names longer than a file name journal, checkpoint and quarantine
+/// like any other, and recover from a crash image of the spool: each gets
+/// a capped file stem, so creating its files cannot fail, which would
+/// latch the WAL (or the quarantine log) off for every tenant.
+#[test]
+fn tenant_names_longer_than_a_file_name_journal_checkpoint_and_recover() {
+    let root = std::env::temp_dir().join(format!("rapd-long-names-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let config = |spool: PathBuf| ServiceConfig {
+        listen: "127.0.0.1:0".to_string(),
+        metrics_listen: "127.0.0.1:0".to_string(),
+        shards: 1,
+        spool_dir: Some(spool),
+        // no ticker: the `checkpoint` verb takes the only snapshot, so the
+        // frames after it are the journal a restart replays
+        checkpoint_interval: Duration::ZERO,
+        ..ServiceConfig::default()
+    };
+    let long = "t".repeat(300);
+    // all safe, two that differ only past the cut, and a lossy one
+    let tenants = [long.clone(), format!("{}u", &long[1..]), "t.".repeat(150)];
+    let observe = |tenant: &str, l1: &str| {
+        format!(
+            r#"{{"type":"observe","tenant":"{tenant}","rows":[[["L1","S1"],{l1}],[["L1","S2"],100],[["L2","S1"],100],[["L2","S2"],100]]}}"#
+        )
+    };
+    let ok = |reply: Json| {
+        assert_eq!(
+            reply.get("type").and_then(Json::as_str),
+            Some("ok"),
+            "{reply}"
+        );
+        reply
+    };
+    let healthy = |client: &mut Client| {
+        let health = client.request(r#"{"type":"health"}"#);
+        let status = health.get("status").and_then(Json::as_str);
+        assert_eq!(status, Some("ok"), "{health}");
+    };
+
+    let live = service::start(config(root.join("live")), service::default_factory()).unwrap();
+    let mut client = Client::connect(live.ingest_addr());
+    for tenant in &tenants {
+        ok(client.request(&format!(
+            r#"{{"type":"schema","tenant":"{tenant}","attributes":[["location",["L1","L2"]],["website",["S1","S2"]]]}}"#
+        )));
+    }
+    for step in 0..8 {
+        if step == 5 {
+            ok(client.request(r#"{"type":"flush"}"#));
+            let reply = ok(client.request(r#"{"type":"checkpoint"}"#));
+            assert_eq!(
+                reply.get("checkpointed").and_then(Json::as_bool),
+                Some(true)
+            );
+        }
+        for tenant in &tenants {
+            ok(client.request(&observe(tenant, "100")));
+        }
+    }
+    // one non-finite leaf each: quarantined to the tenant's own log
+    for tenant in &tenants {
+        let reply = ok(client.request(&observe(tenant, "null")));
+        assert_eq!(reply.get("quarantined").and_then(Json::as_bool), Some(true));
+    }
+    ok(client.request(r#"{"type":"flush"}"#));
+    healthy(&mut client);
+    for (dir, files) in [("wal", 1 + tenants.len()), ("quarantine", tenants.len())] {
+        let listing = std::fs::read_dir(root.join("live").join(dir)).unwrap();
+        assert_eq!(listing.count(), files, "{dir}");
+    }
+    copy_spool(&root.join("live"), &root.join("crash"));
+
+    let restarted = service::start(config(root.join("crash")), service::default_factory()).unwrap();
+    let mut client = Client::connect(restarted.ingest_addr());
+    ok(client.request(r#"{"type":"flush"}"#));
+    let stats = client.request(r#"{"type":"stats"}"#);
+    let replayed = stats.get("replayed_frames").and_then(Json::as_u64);
+    assert_eq!(replayed, Some(3 * tenants.len() as u64), "{stats}");
+    let debug = client.request(r#"{"type":"debug"}"#);
+    let durability = debug.get("durability").expect("durability");
+    let count = |key: &str| durability.get(key).and_then(Json::as_u64);
+    assert_eq!(count("checkpoint_restores"), Some(tenants.len() as u64));
+    assert_eq!(count("detector_rewarms"), Some(0), "{durability}");
+    healthy(&mut client);
+    restarted.shutdown();
+    live.shutdown();
+    let _ = std::fs::remove_dir_all(&root);
 }
